@@ -1,35 +1,27 @@
-//! Sender-side compaction benchmark: wire volume with and without the
-//! `DistOpts` compaction flags.
+//! Communication-stack benchmark: wire volume and modeled time of the
+//! §V-B levers that remain in `DistOpts`.
 //!
 //! Runs distributed LACC on a Graph500 RMAT graph (default scale 16 at
-//! p = 16) under a matrix of compaction configurations, all traced at
+//! p = 16) under a matrix of communication configurations, all traced at
 //! collectives level, and writes `BENCH_comm.json` at the workspace root
-//! with per-configuration wire-volume metrics:
+//! with per-configuration metrics:
 //!
 //! * `words_sent` — 8-byte words sent over the whole run (summed final
 //!   cost snapshots).
 //! * `alltoall_words` — words moved (sent + received) inside `alltoallv`
-//!   spans only, the traffic the compaction layer targets. Under the
-//!   sparse all-to-all this includes its nested metadata exchange, which
-//!   makes the compacted numbers *conservative*.
-//! * `words_saved` — the observational counter summed over ranks.
-//!
+//!   spans only, the irregular `extract`/`assign` traffic. Under the
+//!   sparse all-to-all this includes its nested metadata exchange.
 //! * `combined_words` — raw-word equivalent of entries merged *in
-//!   flight* at combining-hypercube hops (cross-sender duplicates the
-//!   sender-side flags cannot see).
+//!   flight* at combining-hypercube hops (cross-sender duplicates).
 //! * `bytes_sent` — exact payload bytes on the wire, which (unlike the
 //!   word counters) see the narrow index layout; an extra
 //!   `optimized+u32` row runs the optimized stack at 32-bit indices so
 //!   `bytes_reduction_u32_vs_u64` reports what the narrow word saves.
 //!
-//! The §V-B comparison matrix runs at the default `u32` index width
-//! (the historical `u64` pin predated width-generic combining key
-//! streams and is gone); an `optimized` row keeps `u64` so the
-//! `optimized+u32` delta still reports what the narrow word saves.
-//!
-//! Every matrix row pins `overlap: false` and `narrow_labels: false` so
-//! the wire-volume deltas isolate the compaction flags; the closing rows
-//! switch one lever each back on at the `optimized+u32` point:
+//! The headline ratio compares `DistOpts::naive()` against the same
+//! stack with only in-flight combining turned on, which must strictly cut
+//! all-to-all words. The `optimized` rows pin `overlap: false`; the
+//! closing rows switch overlap back on:
 //!
 //! * `optimized+overlap` (u64) re-enables non-blocking exchanges at the
 //!   wide word and must cut `modeled_s` against the blocking `optimized`
@@ -38,19 +30,8 @@
 //!   words (`modeled_reduction_overlap`). `optimized+u32+overlap` runs
 //!   the same lever at u32, where thinner exchanges leave less time to
 //!   hide: same-words plus strict modeled-time improvement.
-//! * `optimized+u32+narrow` re-enables dynamic label-range narrowing
-//!   and must cut `bytes_sent` against `optimized+u32` — the
-//!   `bytes_reduction_narrow` headline — while moving exactly the same
-//!   words over the same iteration count; its `narrow_saved_bytes`
-//!   counter must be positive, and must be exactly zero on every other
-//!   row (the flag-off guarantee).
 //!
-//! The headline ratio compares `DistOpts::naive()` against the same
-//! pairwise stack with only the three compaction flags turned on, so
-//! nothing but sender-side compaction differs; a second ratio stacks
-//! the in-flight combining collectives (+ fused starcheck + value RLE)
-//! on top, which must strictly beat sender-only compaction. Labels are
-//! asserted bit-identical across every configuration.
+//! Labels are asserted bit-identical across every configuration.
 //!
 //! Environment overrides: `LACC_COMM_SCALE` (RMAT scale, default 16),
 //! `LACC_COMM_RANKS` (default 16), `LACC_COMM_EF` (edge factor, 16).
@@ -83,17 +64,11 @@ fn workspace_root() -> std::path::PathBuf {
 struct Row {
     label: &'static str,
     width: IndexWidth,
-    dedup: bool,
-    combine: bool,
-    compress: bool,
     in_flight: bool,
     overlap: bool,
-    narrow: bool,
     words_sent: u64,
     bytes_sent: u64,
     alltoall_words: u64,
-    words_saved: u64,
-    narrow_saved: u64,
     combined_words: u64,
     overlap_hidden_s: f64,
     modeled_s: f64,
@@ -112,72 +87,22 @@ fn main() {
     );
     let model = lacc_bench::default_model();
 
-    // The naive §V-B stack, varying only the compaction flags, plus the
-    // fully optimized configuration for reference. The whole matrix runs
-    // blocking (`overlap: false`, which `naive()` already is) so the wire
-    // and modeled-time deltas isolate the flag under test; the closing
-    // row re-enables overlap on the optimized stack.
+    // The naive §V-B stack with and without in-flight combining, plus the
+    // optimized configuration for reference. These rows run blocking
+    // (`overlap: false`, which `naive()` already is) so the wire and
+    // modeled-time deltas isolate the flag under test; the closing rows
+    // re-enable overlap on the optimized stack.
     let naive = DistOpts::naive();
-    // Blocking, narrowing off: the baseline the single-lever closing rows
-    // are measured against.
     let opt_blocking = DistOpts {
         overlap: false,
-        narrow_labels: false,
         ..DistOpts::optimized()
     };
     let configs: Vec<(&'static str, DistOpts, IndexWidth)> = vec![
         ("naive", naive, IndexWidth::U32),
         (
-            "naive+dedup",
-            DistOpts {
-                dedup_requests: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
-            "naive+combine",
-            DistOpts {
-                combine_assigns: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
-            "naive+compress",
-            DistOpts {
-                compress_ids: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
-            "naive+compaction",
-            DistOpts {
-                dedup_requests: true,
-                combine_assigns: true,
-                compress_ids: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
             "naive+combining",
             DistOpts {
                 combine_in_flight: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
-            "naive+compaction+combining",
-            DistOpts {
-                dedup_requests: true,
-                combine_assigns: true,
-                compress_ids: true,
-                combine_in_flight: true,
-                fuse_starcheck: true,
-                compress_values: true,
                 ..naive
             },
             IndexWidth::U32,
@@ -189,33 +114,13 @@ fn main() {
         // Non-blocking exchanges at the wide word, where exchange time
         // dominates enough for the 8% modeled-time bar that headline was
         // established at.
-        (
-            "optimized+overlap",
-            DistOpts {
-                narrow_labels: false,
-                ..DistOpts::optimized()
-            },
-            IndexWidth::U64,
-        ),
+        ("optimized+overlap", DistOpts::optimized(), IndexWidth::U64),
         // Non-blocking exchanges on top of the optimized u32 stack:
         // identical traffic, strictly lower modeled time (the narrow word
         // leaves less exchange time to hide, so no fixed percentage bar).
         (
             "optimized+u32+overlap",
-            DistOpts {
-                narrow_labels: false,
-                ..DistOpts::optimized()
-            },
-            IndexWidth::U32,
-        ),
-        // Dynamic label-range narrowing on top of the optimized u32
-        // stack: identical words and iterations, strictly fewer bytes.
-        (
-            "optimized+u32+narrow",
-            DistOpts {
-                overlap: false,
-                ..DistOpts::optimized()
-            },
+            DistOpts::optimized(),
             IndexWidth::U32,
         ),
     ];
@@ -258,15 +163,6 @@ fn main() {
             .iter()
             .map(|rt| rt.snapshot.combined_words)
             .sum();
-        let narrow_saved: u64 = sink
-            .rank_traces()
-            .iter()
-            .map(|rt| rt.snapshot.narrow_saved_bytes)
-            .sum();
-        assert!(
-            dist.narrow_labels || narrow_saved == 0,
-            "narrow_saved_bytes must be zero with narrowing off (config {label})"
-        );
         let alltoall_words: u64 = report
             .per_kind
             .iter()
@@ -275,26 +171,19 @@ fn main() {
             .sum();
         eprintln!(
             "  {label:>26} [{width}]: words_sent={words_sent} bytes_sent={bytes_sent} \
-             alltoall={alltoall_words} saved={} narrow_saved={narrow_saved} \
-             combined={combined_words} hidden={:.2}ms modeled={:.2}ms",
-            report.words_saved,
+             alltoall={alltoall_words} combined={combined_words} \
+             hidden={:.2}ms modeled={:.2}ms",
             report.overlap_hidden_s * 1e3,
             run.modeled_total_s * 1e3
         );
         rows.push(Row {
             label,
             width,
-            dedup: dist.dedup_requests,
-            combine: dist.combine_assigns,
-            compress: dist.compress_ids,
             in_flight: dist.combine_in_flight,
             overlap: dist.overlap,
-            narrow: dist.narrow_labels,
             words_sent,
             bytes_sent,
             alltoall_words,
-            words_saved: report.words_saved,
-            narrow_saved,
             combined_words,
             overlap_hidden_s: report.overlap_hidden_s,
             modeled_s: run.modeled_total_s,
@@ -302,48 +191,97 @@ fn main() {
         });
     }
 
-    let naive_row = rows.iter().find(|r| r.label == "naive").expect("naive row");
-    let compacted = rows
-        .iter()
-        .find(|r| r.label == "naive+compaction")
-        .expect("compaction row");
-    let ratio = naive_row.alltoall_words as f64 / compacted.alltoall_words.max(1) as f64;
-    let sent_ratio = naive_row.words_sent as f64 / compacted.words_sent.max(1) as f64;
+    let row = |label: &str| {
+        rows.iter()
+            .find(|r| r.label == label)
+            .unwrap_or_else(|| panic!("{label} row"))
+    };
+    let naive_row = row("naive");
+    let combining = row("naive+combining");
+    let opt64 = row("optimized");
+    let opt32 = row("optimized+u32");
+    let opt_overlap = row("optimized+overlap");
+    let opt_overlap32 = row("optimized+u32+overlap");
+
+    let ratio = naive_row.alltoall_words as f64 / combining.alltoall_words.max(1) as f64;
+    let sent_ratio = naive_row.words_sent as f64 / combining.words_sent.max(1) as f64;
     println!(
-        "all-to-all words: naive {} vs compacted {} ({ratio:.2}x); \
-         total sent {sent_ratio:.2}x",
-        naive_row.alltoall_words, compacted.alltoall_words
+        "all-to-all words: naive {} vs in-flight combining {} ({ratio:.2}x, \
+         {} words merged in flight); total sent {sent_ratio:.2}x",
+        naive_row.alltoall_words, combining.alltoall_words, combining.combined_words
     );
+    let bytes_ratio = opt64.bytes_sent as f64 / opt32.bytes_sent.max(1) as f64;
+    println!(
+        "index width: u64 {} bytes vs u32 {} bytes ({bytes_ratio:.2}x reduction)",
+        opt64.bytes_sent, opt32.bytes_sent
+    );
+    let overlap_reduction = 1.0 - opt_overlap.modeled_s / opt64.modeled_s;
+    println!(
+        "overlap: blocking {:.3} ms vs non-blocking {:.3} ms \
+         ({:.1}% modeled time hidden behind local compute)",
+        opt64.modeled_s * 1e3,
+        opt_overlap.modeled_s * 1e3,
+        overlap_reduction * 1e2
+    );
+
+    // The record is written before the gates below run, so a failing gate
+    // still leaves the measurement that failed it on disk (the process
+    // exits nonzero either way).
+    // Hand-rolled JSON (the workspace carries no serde).
+    let mut json = String::from("{\n");
+    json.push_str(&format!("  \"rmat_scale\": {scale},\n"));
+    json.push_str(&format!("  \"edge_factor\": {ef},\n"));
+    json.push_str(&format!("  \"ranks\": {ranks},\n"));
+    json.push_str(&format!("  \"vertices\": {},\n", g.num_vertices()));
+    json.push_str(&format!("  \"edges\": {},\n", g.num_directed_edges()));
+    json.push_str("  \"labels_identical\": true,\n");
+    json.push_str(&format!(
+        "  \"alltoall_reduction_combining_vs_naive\": {ratio:.3},\n"
+    ));
+    json.push_str(&format!(
+        "  \"words_sent_reduction_combining_vs_naive\": {sent_ratio:.3},\n"
+    ));
+    json.push_str(&format!(
+        "  \"bytes_reduction_u32_vs_u64\": {bytes_ratio:.3},\n"
+    ));
+    json.push_str(&format!(
+        "  \"modeled_reduction_overlap\": {overlap_reduction:.3},\n"
+    ));
+    json.push_str("  \"configs\": [\n");
+    for (k, r) in rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"label\": \"{}\", \"width\": \"{}\", \
+             \"combine_in_flight\": {}, \"overlap\": {}, \
+             \"words_sent\": {}, \"bytes_sent\": {}, \
+             \"alltoall_words\": {}, \"combined_words\": {}, \
+             \"overlap_hidden_s\": {:.6}, \
+             \"modeled_s\": {:.6}, \"iterations\": {}}}{}\n",
+            r.label,
+            r.width,
+            r.in_flight,
+            r.overlap,
+            r.words_sent,
+            r.bytes_sent,
+            r.alltoall_words,
+            r.combined_words,
+            r.overlap_hidden_s,
+            r.modeled_s,
+            r.iterations,
+            if k + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]\n}\n");
+
+    let path = workspace_root().join("BENCH_comm.json");
+    let mut f = std::fs::File::create(&path).expect("create BENCH_comm.json");
+    f.write_all(json.as_bytes()).expect("write BENCH_comm.json");
+    println!("wrote {}", path.display());
+
+    // Combining payoff: in-flight merging must cut the all-to-all words
+    // of the naive stack.
     assert!(
         ratio > 1.0,
-        "compaction must reduce all-to-all wire volume (got {ratio:.3}x)"
-    );
-    let combining = rows
-        .iter()
-        .find(|r| r.label == "naive+compaction+combining")
-        .expect("combining row");
-    let combining_ratio = compacted.alltoall_words as f64 / combining.alltoall_words.max(1) as f64;
-    println!(
-        "combining + fused starcheck: {} words vs sender-only {} \
-         ({combining_ratio:.2}x further reduction, {} words merged in flight)",
-        combining.alltoall_words, compacted.alltoall_words, combining.combined_words
-    );
-    // At the u64 word the combining route strictly beat sender-only
-    // compaction on alltoall words. At the default u32 word the payload
-    // halves while the hypercube's fixed per-hop pooling headers (charged
-    // conservatively, count phase included) do not, so at larger p the
-    // span-local margin can flip by a few percent even though duplicates
-    // still merge in flight and modeled time still improves. The gate is
-    // therefore strict improvement or near-parity (≤ 5%) with a nonzero
-    // in-flight merge volume.
-    assert!(
-        combining.alltoall_words < compacted.alltoall_words
-            || (combining.combined_words > 0
-                && (combining.alltoall_words as f64) < compacted.alltoall_words as f64 * 1.05),
-        "in-flight combining regressed sender-only compaction by > 5% \
-         ({} vs {})",
-        combining.alltoall_words,
-        compacted.alltoall_words
+        "in-flight combining must reduce all-to-all wire volume (got {ratio:.3}x)"
     );
     assert!(
         combining.combined_words > 0,
@@ -353,19 +291,6 @@ fn main() {
     // Narrow-word payoff: the same optimized run at u32 indices must
     // put strictly fewer bytes on the wire than at u64 (word counts and
     // labels are identical by construction).
-    let opt64 = rows
-        .iter()
-        .find(|r| r.label == "optimized")
-        .expect("optimized row");
-    let opt32 = rows
-        .iter()
-        .find(|r| r.label == "optimized+u32")
-        .expect("optimized+u32 row");
-    let bytes_ratio = opt64.bytes_sent as f64 / opt32.bytes_sent.max(1) as f64;
-    println!(
-        "index width: u64 {} bytes vs u32 {} bytes ({bytes_ratio:.2}x reduction)",
-        opt64.bytes_sent, opt32.bytes_sent
-    );
     assert!(
         bytes_ratio > 1.0,
         "narrow indices must reduce bytes on the wire (got {bytes_ratio:.3}x)"
@@ -374,10 +299,6 @@ fn main() {
     // Overlap payoff: non-blocking exchanges are a pure scheduling change
     // — same traffic, same trajectory, strictly (≥ 8%) lower modeled time
     // at the wide word where the bar was established.
-    let opt_overlap = rows
-        .iter()
-        .find(|r| r.label == "optimized+overlap")
-        .expect("optimized+overlap row");
     assert_eq!(
         opt_overlap.words_sent, opt64.words_sent,
         "overlap must not change the words on the wire"
@@ -390,21 +311,9 @@ fn main() {
         opt_overlap.overlap_hidden_s > 0.0,
         "overlap credit must be nonzero when the flag is on"
     );
-    let overlap_reduction = 1.0 - opt_overlap.modeled_s / opt64.modeled_s;
-    println!(
-        "overlap: blocking {:.3} ms vs non-blocking {:.3} ms \
-         ({:.1}% modeled time hidden behind local compute)",
-        opt64.modeled_s * 1e3,
-        opt_overlap.modeled_s * 1e3,
-        overlap_reduction * 1e2
-    );
     // The same lever at the narrow u32 word: identical traffic and
     // strictly lower modeled time, but u32 exchanges leave less time to
     // hide, so the bar is strict improvement rather than a percentage.
-    let opt_overlap32 = rows
-        .iter()
-        .find(|r| r.label == "optimized+u32+overlap")
-        .expect("optimized+u32+overlap row");
     assert_eq!(
         opt_overlap32.words_sent, opt32.words_sent,
         "u32 overlap must not change the words on the wire"
@@ -437,96 +346,4 @@ fn main() {
             overlap_reduction * 1e2
         );
     }
-
-    // Narrowing payoff: probe-selected wire tiers change only the byte
-    // encoding — same words, same iterations, strictly fewer bytes.
-    let opt_narrow = rows
-        .iter()
-        .find(|r| r.label == "optimized+u32+narrow")
-        .expect("optimized+u32+narrow row");
-    assert_eq!(
-        opt_narrow.words_sent, opt32.words_sent,
-        "narrowing must not change the words on the wire"
-    );
-    assert_eq!(
-        opt_narrow.iterations, opt32.iterations,
-        "narrowing must not change the iteration count"
-    );
-    assert!(
-        opt_narrow.narrow_saved > 0,
-        "narrow_saved_bytes must be positive with narrowing on"
-    );
-    let narrow_ratio = opt32.bytes_sent as f64 / opt_narrow.bytes_sent.max(1) as f64;
-    println!(
-        "narrowing: native {} bytes vs narrowed {} bytes \
-         ({narrow_ratio:.2}x reduction, {} bytes saved by the narrow tiers)",
-        opt32.bytes_sent, opt_narrow.bytes_sent, opt_narrow.narrow_saved
-    );
-    assert!(
-        narrow_ratio > 1.0,
-        "narrowing must reduce bytes on the wire (got {narrow_ratio:.3}x)"
-    );
-
-    // Hand-rolled JSON (the workspace carries no serde).
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"rmat_scale\": {scale},\n"));
-    json.push_str(&format!("  \"edge_factor\": {ef},\n"));
-    json.push_str(&format!("  \"ranks\": {ranks},\n"));
-    json.push_str(&format!("  \"vertices\": {},\n", g.num_vertices()));
-    json.push_str(&format!("  \"edges\": {},\n", g.num_directed_edges()));
-    json.push_str("  \"labels_identical\": true,\n");
-    json.push_str(&format!("  \"alltoall_reduction_vs_naive\": {ratio:.3},\n"));
-    json.push_str(&format!(
-        "  \"words_sent_reduction_vs_naive\": {sent_ratio:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"alltoall_reduction_combining_vs_sender_only\": {combining_ratio:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"bytes_reduction_u32_vs_u64\": {bytes_ratio:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"modeled_reduction_overlap\": {overlap_reduction:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"bytes_reduction_narrow\": {narrow_ratio:.3},\n"
-    ));
-    json.push_str("  \"configs\": [\n");
-    for (k, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"label\": \"{}\", \"width\": \"{}\", \"dedup_requests\": {}, \
-             \"combine_assigns\": {}, \
-             \"compress_ids\": {}, \"combine_in_flight\": {}, \"overlap\": {}, \
-             \"narrow_labels\": {}, \
-             \"words_sent\": {}, \"bytes_sent\": {}, \
-             \"alltoall_words\": {}, \"words_saved\": {}, \"narrow_saved_bytes\": {}, \
-             \"combined_words\": {}, \
-             \"overlap_hidden_s\": {:.6}, \
-             \"modeled_s\": {:.6}, \"iterations\": {}}}{}\n",
-            r.label,
-            r.width,
-            r.dedup,
-            r.combine,
-            r.compress,
-            r.in_flight,
-            r.overlap,
-            r.narrow,
-            r.words_sent,
-            r.bytes_sent,
-            r.alltoall_words,
-            r.words_saved,
-            r.narrow_saved,
-            r.combined_words,
-            r.overlap_hidden_s,
-            r.modeled_s,
-            r.iterations,
-            if k + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = workspace_root().join("BENCH_comm.json");
-    let mut f = std::fs::File::create(&path).expect("create BENCH_comm.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_comm.json");
-    println!("wrote {}", path.display());
 }

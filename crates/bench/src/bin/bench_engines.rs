@@ -8,8 +8,8 @@
 //!
 //! * `iterations` — supersteps/rounds until convergence.
 //! * `alltoall_words` — words moved inside `alltoallv` spans.
-//! * `words_saved` — sender-side compaction counter (nonzero ⇒ the
-//!   engine really runs over the optimized stack, not a naive path).
+//! * `combined_words` — words merged by in-flight combining (nonzero ⇒
+//!   the engine really runs over the optimized stack, not a naive path).
 //! * `modeled_s` — modeled machine seconds.
 //!
 //! Per family, canonical labels are asserted identical across all three
@@ -52,7 +52,7 @@ struct Row {
     engine: EngineKind,
     iterations: usize,
     alltoall_words: u64,
-    words_saved: u64,
+    combined_words: u64,
     modeled_s: f64,
 }
 
@@ -111,10 +111,10 @@ fn main() {
                 .map(|k| k.words)
                 .sum();
             eprintln!(
-                "  {:>9}: iters={} alltoall={alltoall_words} saved={} modeled={:.2}ms",
+                "  {:>9}: iters={} alltoall={alltoall_words} combined={} modeled={:.2}ms",
                 out.engine.name(),
                 out.num_iterations(),
-                report.words_saved,
+                report.combined_words,
                 out.modeled_total_s * 1e3
             );
             iters_by.push((out.engine, out.num_iterations()));
@@ -123,7 +123,7 @@ fn main() {
                 engine: out.engine,
                 iterations: out.num_iterations(),
                 alltoall_words,
-                words_saved: report.words_saved,
+                combined_words: report.combined_words,
                 modeled_s: out.modeled_total_s,
             });
         }
@@ -174,12 +174,12 @@ fn main() {
     for (k, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"family\": \"{}\", \"engine\": \"{}\", \"iterations\": {}, \
-             \"alltoall_words\": {}, \"words_saved\": {}, \"modeled_s\": {:.6}}}{}\n",
+             \"alltoall_words\": {}, \"combined_words\": {}, \"modeled_s\": {:.6}}}{}\n",
             r.family,
             r.engine,
             r.iterations,
             r.alltoall_words,
-            r.words_saved,
+            r.combined_words,
             r.modeled_s,
             if k + 1 < rows.len() { "," } else { "" }
         ));

@@ -7,9 +7,8 @@
 //! 2. **All-to-all algorithm**: pairwise-exchange vs hypercube vs sparse.
 //! 3. **Hot-rank broadcast**: on vs off, plus a sweep of the threshold h.
 //!
-//! Two comm-layer extensions are ablated the same way: sender-side
-//! compaction (dedup / combine / compress, each alone) and the in-flight
-//! combining stack (combining hypercube, fused starcheck, value RLE).
+//! One comm-layer extension is ablated the same way: the in-flight
+//! combining stack (combining hypercube, fused starcheck).
 
 use dmsim::{AllToAll, EDISON};
 use gblas::dist::DistOpts;
@@ -98,51 +97,18 @@ fn main() {
         run_cfg(&format!("hot threshold h = {h}"), opts);
     }
 
-    // 4. Sender-side compaction: all off, then each mechanism alone.
-    run_cfg(
-        "compaction off",
-        LaccOpts {
-            dist: DistOpts {
-                dedup_requests: false,
-                combine_assigns: false,
-                compress_ids: false,
-                ..DistOpts::default()
-            },
-            ..LaccOpts::default()
-        },
-    );
-    for (name, dedup, combine, compress) in [
-        ("compaction = dedup only", true, false, false),
-        ("compaction = combine only", false, true, false),
-        ("compaction = compress only", false, false, true),
-    ] {
-        let opts = LaccOpts {
-            dist: DistOpts {
-                dedup_requests: dedup,
-                combine_assigns: combine,
-                compress_ids: compress,
-                ..DistOpts::default()
-            },
-            ..LaccOpts::default()
-        };
-        run_cfg(name, opts);
-    }
-
-    // 5. In-flight combining: all off (sender-side compaction retained),
-    // then the combining stack layered back in. Fused starcheck rides on
-    // the combining route, so it only exists with `combine_in_flight`;
-    // value RLE also applies to the plain reply path and is ablated alone.
-    for (name, in_flight, fuse, rle) in [
-        ("combining off (sender-side only)", false, false, false),
-        ("combining = in-flight only", true, false, false),
-        ("combining = fused starcheck", true, true, false),
-        ("combining = value RLE only", false, false, true),
+    // 4. In-flight combining: off, then the combining stack layered back
+    // in. Fused starcheck rides on the combining route, so it only exists
+    // with `combine_in_flight`.
+    for (name, in_flight, fuse) in [
+        ("combining off", false, false),
+        ("combining = in-flight only", true, false),
+        ("combining = fused starcheck", true, true),
     ] {
         let opts = LaccOpts {
             dist: DistOpts {
                 combine_in_flight: in_flight,
                 fuse_starcheck: fuse,
-                compress_values: rle,
                 ..DistOpts::default()
             },
             ..LaccOpts::default()
@@ -150,7 +116,7 @@ fn main() {
         run_cfg(name, opts);
     }
 
-    // 6. Index width at the fully optimized point: the modeled time is
+    // 5. Index width at the fully optimized point: the modeled time is
     // word-based and so identical; the rows make the iteration/label
     // equivalence visible next to every other knob.
     for (name, width) in [

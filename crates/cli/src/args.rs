@@ -54,6 +54,35 @@ impl Args {
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
+
+    /// Rejects every `--key` that is neither one of `options` (which take
+    /// a value) nor one of `flags` (which take none), a value-taking
+    /// option given with no value (last on the line, or followed by
+    /// another flag), and a bare flag given a value.
+    pub fn check(&self, options: &[&str], flags: &[&str]) -> Result<(), String> {
+        let mut keys: Vec<&String> = self.options.keys().collect();
+        keys.sort();
+        for key in keys {
+            if flags.contains(&key.as_str()) {
+                return Err(format!(
+                    "--{key} takes no value (got {})",
+                    self.options[key]
+                ));
+            }
+            if !options.contains(&key.as_str()) {
+                return Err(format!("unknown option --{key}"));
+            }
+        }
+        for flag in &self.flags {
+            if options.contains(&flag.as_str()) {
+                return Err(format!("--{flag} needs a value"));
+            }
+            if !flags.contains(&flag.as_str()) {
+                return Err(format!("unknown option --{flag}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -87,5 +116,30 @@ mod tests {
         let a = parse(&argv(&["stats", "--quiet"]));
         assert!(a.has_flag("quiet"));
         assert!(a.require("quiet").is_err());
+    }
+
+    #[test]
+    fn check_rejects_unknown_and_valueless_options() {
+        let a = parse(&argv(&["cc", "g.mtx", "--algo", "bfs", "--flat"]));
+        assert!(a.check(&["algo"], &["flat"]).is_ok());
+        let err = a.check(&["algo"], &[]).unwrap_err();
+        assert_eq!(err, "unknown option --flat");
+        let err = a.check(&["out"], &["flat"]).unwrap_err();
+        assert_eq!(err, "unknown option --algo");
+        // A value-taking option last on the line has no value.
+        let a = parse(&argv(&["cc", "g.mtx", "--out"]));
+        assert_eq!(a.check(&["out"], &[]).unwrap_err(), "--out needs a value");
+        // ... and so does one followed directly by another flag.
+        let a = parse(&argv(&["cc", "--ranks", "--flat"]));
+        assert_eq!(
+            a.check(&["ranks"], &["flat"]).unwrap_err(),
+            "--ranks needs a value"
+        );
+        // A bare flag followed by a positional swallowed it as a value.
+        let a = parse(&argv(&["cc-dist", "--flat", "g.mtx"]));
+        assert_eq!(
+            a.check(&[], &["flat"]).unwrap_err(),
+            "--flat takes no value (got g.mtx)"
+        );
     }
 }

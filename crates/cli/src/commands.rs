@@ -15,11 +15,8 @@ pub const USAGE: &str = "usage:
   lacc cc       <graph> [--algo lacc|unionfind|bfs|sv|labelprop|fastsv|multistep] [--out labels.txt]
   lacc cc-dist  <graph> --ranks P [--machine edison|cori] [--flat]
                 [--kernel-threads T] [--spmv-threshold F]
-                [--dedup-requests true|false] [--combine-assigns true|false]
-                [--compress-ids true|false] [--bitmap-density F]
                 [--combine-in-flight true|false] [--fuse-starcheck true|false]
-                [--compress-values true|false] [--overlap true|false]
-                [--narrow-labels true|false] [--index-width u32|u64]
+                [--overlap true|false] [--index-width u32|u64]
                 [--engine lacc|fastsv|labelprop|auto] [--canonical]
                 [--out labels.txt]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
@@ -28,7 +25,12 @@ pub const USAGE: &str = "usage:
                 [--staleness F] [--engine lacc|fastsv|labelprop|auto]
                 [--seed S] [--report out.json]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
-  lacc generate <community|metagenome|rmat|mesh3d|er|suite:NAME> --n N [--seed S] --out <graph>
+  lacc generate community  --n N [--components C] [--degree D] [--seed S] --out <graph>
+  lacc generate metagenome --n N [--seed S] --out <graph>
+  lacc generate rmat       --scale K [--edge-factor E] [--seed S] --out <graph>
+  lacc generate mesh3d     --n N --out <graph>
+  lacc generate er         --n N [--m M] [--seed S] --out <graph>
+  lacc generate suite:NAME --out <graph>
   lacc convert  <in> <out>
 
 graph formats by extension: .mtx (Matrix Market), .bin (lacc binary), otherwise edge list";
@@ -94,6 +96,7 @@ fn load_graph(args: &Args) -> Result<CsrGraph, String> {
 }
 
 fn cmd_stats(args: &Args) -> Result<(), String> {
+    args.check(&[], &[])?;
     let g = load_graph(args)?;
     let s = graph_stats(&g);
     println!("vertices            {}", s.vertices);
@@ -108,6 +111,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_cc(args: &Args) -> Result<(), String> {
+    args.check(&["algo", "out"], &[])?;
     let g = load_graph(args)?;
     let algo = args
         .options
@@ -146,6 +150,23 @@ fn cmd_cc(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_cc_dist(args: &Args) -> Result<(), String> {
+    args.check(
+        &[
+            "ranks",
+            "machine",
+            "kernel-threads",
+            "spmv-threshold",
+            "combine-in-flight",
+            "fuse-starcheck",
+            "overlap",
+            "index-width",
+            "engine",
+            "out",
+            "trace",
+            "trace-level",
+        ],
+        &["flat", "canonical"],
+    )?;
     let g = load_graph(args)?;
     let ranks: usize = args.get_or("ranks", 4)?;
     let machine = match args
@@ -174,23 +195,12 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
         // Input fill fraction above which mxv runs its SpMV-style kernel.
         .spmv_threshold(args.get_or("spmv-threshold", defaults.dist.spmv_threshold)?)
         .map_err(|e| e.to_string())?
-        // Sender-side compaction toggles (all on by default).
-        .dedup_requests(args.get_or("dedup-requests", defaults.dist.dedup_requests)?)
-        .combine_assigns(args.get_or("combine-assigns", defaults.dist.combine_assigns)?)
-        .compress_ids(args.get_or("compress-ids", defaults.dist.compress_ids)?)
-        .bitmap_density(args.get_or("bitmap-density", defaults.dist.compress_bitmap_density)?)
-        .map_err(|e| e.to_string())?
         // In-flight combining stack (all on by default).
         .combine_in_flight(args.get_or("combine-in-flight", defaults.dist.combine_in_flight)?)
         .fuse_starcheck(args.get_or("fuse-starcheck", defaults.dist.fuse_starcheck)?)
-        .compress_values(args.get_or("compress-values", defaults.dist.compress_values)?)
         // Non-blocking hot-path exchanges with compute/comm overlap credit
         // (bit-identical labels and traffic either way).
         .overlap(args.get_or("overlap", defaults.dist.overlap)?)
-        // Dynamic label-range narrowing: probe-selected u16/dictionary
-        // wire tiers (bit-identical labels and word counts either way;
-        // only bytes_sent shrinks).
-        .narrow_labels(args.get_or("narrow-labels", defaults.dist.narrow_labels)?)
         // Index/label storage width: u32 (default) halves index memory and
         // wire bytes, u64 lifts the 2^32-vertex limit.
         .index_width(
@@ -285,6 +295,23 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use lacc_serving::{CcService, RerunPolicy, ServeOpts, WorkloadCfg};
 
+    args.check(
+        &[
+            "ranks",
+            "machine",
+            "staleness",
+            "engine",
+            "batches",
+            "batch-size",
+            "queries-per-batch",
+            "delete-every",
+            "seed",
+            "report",
+            "trace",
+            "trace-level",
+        ],
+        &[],
+    )?;
     let g = load_graph(args)?;
     let ranks: usize = args.get_or("ranks", 4)?;
     let machine = match args
@@ -459,6 +486,16 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         .positional
         .get(1)
         .ok_or_else(|| "missing generator family".to_string())?;
+    // Each family accepts only the options it reads.
+    let options: &[&str] = match family.as_str() {
+        "community" => &["out", "n", "components", "degree", "seed"],
+        "metagenome" => &["out", "n", "seed"],
+        "rmat" => &["out", "scale", "edge-factor", "seed"],
+        "mesh3d" => &["out", "n"],
+        "er" => &["out", "n", "m", "seed"],
+        _ => &["out"],
+    };
+    args.check(options, &[])?;
     let out = args.require("out")?.to_string();
     let n: usize = args.get_or("n", 10_000)?;
     let seed: u64 = args.get_or("seed", 1)?;
@@ -501,6 +538,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_convert(args: &Args) -> Result<(), String> {
+    args.check(&[], &[])?;
     let input = args.positional.get(1).ok_or("missing input path")?;
     let output = args.positional.get(2).ok_or("missing output path")?;
     let el = load_edges(Path::new(input))?;
@@ -560,33 +598,9 @@ mod tests {
             &bin,
             "--ranks",
             "4",
-            "--dedup-requests",
-            "false",
-            "--combine-assigns",
-            "false",
-            "--compress-ids",
-            "false",
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &bin,
-            "--ranks",
-            "4",
-            "--bitmap-density",
-            "0.5",
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &bin,
-            "--ranks",
-            "4",
             "--combine-in-flight",
             "false",
             "--fuse-starcheck",
-            "false",
-            "--compress-values",
             "false",
         ]))
         .unwrap();
@@ -607,10 +621,13 @@ mod tests {
         assert!(dispatch(&argv(&["cc-dist", &p, "--kernel-threads", "zig"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--kernel-threads", "0"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--trace-level", "verbose"])).is_err());
-        assert!(dispatch(&argv(&["cc-dist", &p, "--bitmap-density", "1.5"])).is_err());
-        assert!(dispatch(&argv(&["cc-dist", &p, "--dedup-requests", "maybe"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--combine-in-flight", "maybe"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--index-width", "u16"])).is_err());
+        let err = dispatch(&argv(&["cc-dist", &p, "--ranks", "15"])).unwrap_err();
+        assert!(
+            err.contains("15") && err.contains("perfect square"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -670,8 +687,6 @@ mod tests {
             "false",
             "--fuse-starcheck",
             "false",
-            "--compress-values",
-            "false",
             "--out",
             &off,
         ]))
@@ -721,46 +736,6 @@ mod tests {
             "overlap changed the labels"
         );
         assert!(dispatch(&argv(&["cc-dist", &p, "--overlap", "maybe"])).is_err());
-    }
-
-    #[test]
-    fn cc_dist_labels_identical_with_narrowing_on_and_off() {
-        // The narrowing CI smoke in miniature: probe-selected wire tiers
-        // must not change a single output byte.
-        let dir = std::env::temp_dir().join("lacc-cli-test12");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("t.el").display().to_string();
-        std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n").unwrap();
-        let on = dir.join("on.txt").display().to_string();
-        let off = dir.join("off.txt").display().to_string();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--narrow-labels",
-            "true",
-            "--out",
-            &on,
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--narrow-labels",
-            "false",
-            "--out",
-            &off,
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&on).unwrap(),
-            std::fs::read(&off).unwrap(),
-            "narrowing changed the labels"
-        );
-        assert!(dispatch(&argv(&["cc-dist", &p, "--narrow-labels", "maybe"])).is_err());
     }
 
     #[test]
@@ -874,6 +849,33 @@ mod tests {
         assert!(dispatch(&argv(&["serve", &p, "--batches", "many"])).is_err());
         assert!(dispatch(&argv(&["serve", &p, "--machine", "summit"])).is_err());
         assert!(dispatch(&argv(&["serve", &p, "--engine", "quantum"])).is_err());
+    }
+
+    #[test]
+    fn unknown_and_valueless_options_error() {
+        let dir = std::env::temp_dir().join("lacc-cli-test13");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("t.el").display().to_string();
+        std::fs::write(&p, "0 1\n1 2\n").unwrap();
+        let out = dir.join("g.mtx").display().to_string();
+        // Unknown flags, including the removed compaction and narrowing
+        // toggles, are errors rather than silently ignored.
+        for flag in ["--narrow-labels", "--dedup-requests", "--frobnicate"] {
+            let err = dispatch(&argv(&["cc-dist", &p, flag, "false"])).unwrap_err();
+            assert_eq!(err, format!("unknown option {flag}"));
+        }
+        assert!(dispatch(&argv(&["stats", &p, "--quiet"])).is_err());
+        // rmat is sized by --scale; --n is not one of its options.
+        let err = dispatch(&argv(&[
+            "generate", "rmat", "--n", "12", "--seed", "7", "--out", &out,
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown option --n");
+        // A trailing option with no value is an error, not a default.
+        let err = dispatch(&argv(&["cc-dist", &p, "--ranks"])).unwrap_err();
+        assert_eq!(err, "--ranks needs a value");
+        let err = dispatch(&argv(&["cc", &p, "--out"])).unwrap_err();
+        assert_eq!(err, "--out needs a value");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!               [--trace out.json] [--trace-level L]  span-trace the run
 //! lacc serve    <graph> [--ranks P] [--batches B] [--batch-size K]
 //!               [--delete-every D] [--staleness F]   incremental serving
-//! lacc generate <family> --n N [--seed S] --out <graph>
+//! lacc generate <family> [--n N | --scale K] [--seed S] --out <graph>
 //! lacc convert  <in> <out>                   between .mtx / .el / .bin
 //! ```
 //!

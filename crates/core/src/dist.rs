@@ -6,9 +6,7 @@
 //! pre-pass when asked), wraps the run in an engine-tagged trace span,
 //! and dispatches to the chosen [`crate::engine::CcEngine`]. Everything a
 //! run can vary — options, trace sink, serving-rerun tagging — lives in
-//! [`RunConfig`], replacing the old `run_distributed` /
-//! `run_distributed_traced` / `run_distributed_rerun` triple (kept as
-//! thin deprecated shims for one release).
+//! [`RunConfig`].
 //!
 //! With the default LACC engine and `permute = false`, a distributed run
 //! produces a parent vector *bit-identical* to [`crate::serial`] (tested
@@ -19,10 +17,9 @@ use crate::engine::{self, EngineCtx, EngineRun};
 use crate::options::{IndexWidth, LaccOpts};
 use crate::stats::{IterStats, LaccRun, StepBreakdown};
 use dmsim::{
-    run_spmd_traced, Comm, DmsimError, EngineKind, Grid2d, MachineModel, RerunReason, SpanKind,
-    TraceSink, WireWord,
+    run_spmd_traced, Comm, DmsimError, EngineKind, MachineModel, RerunReason, SpanKind, TraceSink,
+    WireWord,
 };
-use gblas::dist::NarrowVal;
 use lacc_graph::permute::Permutation;
 use lacc_graph::{ensure_fits, CsrGraph, Idx};
 use std::sync::Arc;
@@ -127,7 +124,7 @@ struct RankResult {
     rationale: Option<String>,
 }
 
-fn run_engine_width<I: Idx + WireWord + NarrowVal>(
+fn run_engine_width<I: Idx + WireWord>(
     kind: EngineKind,
     comm: &mut Comm,
     g: &CsrGraph,
@@ -140,9 +137,10 @@ fn run_engine_width<I: Idx + WireWord + NarrowVal>(
 /// Runs the configured engine on `cfg.ranks` simulated ranks.
 ///
 /// `ranks` must be a perfect square (CombBLAS' square-grid restriction,
-/// §VI-A). Returns labels in the *original* vertex numbering even when
-/// `opts.permute` applies a load-balancing relabeling internally. Errs
-/// with the failing rank and panic payload if any rank panics.
+/// §VI-A); any other count is an error naming it. Returns labels in the
+/// *original* vertex numbering even when `opts.permute` applies a
+/// load-balancing relabeling internally. Errs with the failing rank and
+/// panic payload if any rank panics.
 ///
 /// Engine caveat: LACC labels are tree-root ids, while FastSV and label
 /// propagation converge to component *minima* — cross-engine comparisons
@@ -150,9 +148,19 @@ fn run_engine_width<I: Idx + WireWord + NarrowVal>(
 pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     let n = g.num_vertices();
     let p = cfg.ranks;
-    let _ = Grid2d::square(p); // validate early
-                               // Clamp the per-rank kernel thread request so p ranks × T threads never
-                               // oversubscribe the host (all simulated ranks run concurrently).
+    // The square grid is validated up front: a bad rank count is an error
+    // on the caller thread, never a panic inside the SPMD body.
+    let side = (p as f64).sqrt().round() as usize;
+    if p == 0 || side * side != p {
+        return Err(DmsimError {
+            rank: 0,
+            payload: Box::new(format!(
+                "rank count {p} is not a perfect square (the 2D process grid needs 1, 4, 9, 16, ... ranks)"
+            )),
+        });
+    }
+    // Clamp the per-rank kernel thread request so p ranks × T threads never
+    // oversubscribe the host (all simulated ranks run concurrently).
     let mut opts = cfg.opts;
     opts.dist.kernel_threads = opts.kernel_threads_for(p);
     let opts = &opts;
@@ -268,61 +276,6 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
         engine: outs[0].kind,
         rationale: outs[0].rationale.clone(),
     })
-}
-
-/// Runs distributed LACC on `p` simulated ranks under `model`.
-#[deprecated(since = "0.8.0", note = "use `run(graph, &RunConfig)` instead")]
-pub fn run_distributed(
-    g: &CsrGraph,
-    p: usize,
-    model: MachineModel,
-    opts: &LaccOpts,
-) -> Result<LaccRun, DmsimError> {
-    run(g, &RunConfig::new(p, model).with_opts(*opts)).map(|o| o.run)
-}
-
-/// [`run`] with a caller-managed optional trace sink.
-#[deprecated(
-    since = "0.8.0",
-    note = "use `run(graph, &RunConfig::new(..).with_trace(sink))` instead"
-)]
-pub fn run_distributed_traced(
-    g: &CsrGraph,
-    p: usize,
-    model: MachineModel,
-    opts: &LaccOpts,
-    sink: Option<&Arc<TraceSink>>,
-) -> Result<LaccRun, DmsimError> {
-    run(
-        g,
-        &RunConfig::new(p, model)
-            .with_opts(*opts)
-            .with_trace_opt(sink),
-    )
-    .map(|o| o.run)
-}
-
-/// [`run`] invoked as a serving-layer epoch rebuild.
-#[deprecated(
-    since = "0.8.0",
-    note = "use `run(graph, &RunConfig::new(..).with_rerun(reason))` instead"
-)]
-pub fn run_distributed_rerun(
-    g: &CsrGraph,
-    p: usize,
-    model: MachineModel,
-    opts: &LaccOpts,
-    sink: Option<&Arc<TraceSink>>,
-    reason: RerunReason,
-) -> Result<LaccRun, DmsimError> {
-    run(
-        g,
-        &RunConfig::new(p, model)
-            .with_opts(*opts)
-            .with_trace_opt(sink)
-            .with_rerun(reason),
-    )
-    .map(|o| o.run)
 }
 
 #[cfg(test)]
@@ -604,14 +557,15 @@ mod tests {
 
     #[test]
     fn panicking_rank_surfaces_as_error() {
-        // p = 2 is not a perfect square; the grid assertion fires inside
-        // every rank and must come back as a typed error, not a crash.
+        // p = 2 and p = 15 are not perfect squares; the grid check must
+        // come back as a typed error naming the count, not a panic.
         let g = path_graph(10);
-        let err = std::panic::catch_unwind(|| {
-            let _ = run(&g, &RunConfig::new(2, model()));
-        });
-        // Grid validation happens eagerly on the caller thread.
-        assert!(err.is_err());
+        for p in [2usize, 15] {
+            let err = run(&g, &RunConfig::new(p, model())).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains(&p.to_string()), "{msg}");
+            assert!(msg.contains("perfect square"), "{msg}");
+        }
     }
 
     #[test]
@@ -841,12 +795,12 @@ mod tests {
 
     #[test]
     fn fastsv_uses_the_optimized_stack() {
-        // Acceptance criterion: with optimized DistOpts the FastSV engine
-        // reports nonzero words-saved (compaction active on its planned
-        // extracts / combining assigns); with naive() it reports none.
+        // With optimized DistOpts the FastSV engine's planned extracts and
+        // assigns merge duplicates in flight (nonzero combined words);
+        // with naive() nothing combines.
         use dmsim::TraceLevel;
         let g = rmat(9, 8, RmatParams::graph500(), 3);
-        let words_saved = |opts: &LaccOpts| {
+        let combined_words = |opts: &LaccOpts| {
             let sink = TraceSink::new(TraceLevel::Steps);
             run(
                 &g,
@@ -855,7 +809,7 @@ mod tests {
                     .with_trace(&sink),
             )
             .unwrap();
-            sink.report().words_saved
+            sink.report().combined_words
         };
         let optimized = LaccOpts {
             engine: EngineSelect::Fastsv,
@@ -865,8 +819,8 @@ mod tests {
             engine: EngineSelect::Fastsv,
             ..LaccOpts::naive_comm()
         };
-        assert!(words_saved(&optimized) > 0, "no compaction savings");
-        assert_eq!(words_saved(&naive), 0);
+        assert!(combined_words(&optimized) > 0, "nothing combined in flight");
+        assert_eq!(combined_words(&naive), 0);
     }
 
     #[test]
@@ -914,21 +868,5 @@ mod tests {
         let deep = path_graph(600);
         let out = run_with(&deep, 4, &opts);
         assert_eq!(out.engine, EngineKind::Fastsv, "{:?}", out.rationale);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_run() {
-        let g = rmat(7, 4, RmatParams::graph500(), 29);
-        let opts = LaccOpts::default();
-        let new = run_with(&g, 4, &opts);
-        let old = run_distributed(&g, 4, model(), &opts).unwrap();
-        assert_eq!(old.labels, new.run.labels);
-        assert_eq!(old.modeled_total_s, new.modeled_total_s);
-        let old_traced = run_distributed_traced(&g, 4, model(), &opts, None).unwrap();
-        assert_eq!(old_traced.labels, new.run.labels);
-        let old_rerun =
-            run_distributed_rerun(&g, 4, model(), &opts, None, RerunReason::Bootstrap).unwrap();
-        assert_eq!(old_rerun.labels, new.run.labels);
     }
 }

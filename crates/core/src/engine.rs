@@ -5,8 +5,8 @@
 //! module makes the algorithm a runtime choice over a shared SPMD context
 //! ([`EngineCtx`]: grid, vector layout, distributed matrix, [`LaccOpts`])
 //! so every engine inherits the full optimized `gblas::dist` stack —
-//! sender-side compaction, in-flight combining, tracing, narrow `Idx`
-//! indices — for free:
+//! in-flight combining, overlap, tracing, narrow `Idx` indices — for
+//! free:
 //!
 //! * [`LaccEngine`] — the paper's Awerbuch–Shiloach formulation with
 //!   Lemma-1 converged-component retirement; fastest when the graph has
@@ -30,7 +30,6 @@
 //! first (`lacc_graph::unionfind::canonicalize_labels`) — the engine
 //! matrix tests do exactly that.
 
-use crate::narrow::NarrowPlanner;
 use crate::options::{LaccOpts, OptsError};
 use crate::stats::StepBreakdown;
 use crate::Vid;
@@ -38,7 +37,7 @@ use dmsim::{Comm, EngineKind, Grid2d, SpanKind, WireWord};
 use gblas::dist::{
     dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense,
     dist_mxv_dense_start, dist_mxv_start, plan_requests, DistMask, DistMat, DistOpts, DistSpVec,
-    DistVec, FusedExtract, NarrowVal, VecLayout,
+    DistVec, FusedExtract, VecLayout,
 };
 use gblas::{AndBool, MinUsize};
 use lacc_graph::stats::{bfs_eccentricity, degree_skew, prepass_seeds, PrepassStats};
@@ -204,7 +203,7 @@ impl<'a, I: Idx> EngineCtx<'a, I> {
 /// the true component partition (property-tested in
 /// `tests/engine_matrix.rs` across engines × comm configs × layouts ×
 /// index widths).
-pub trait CcEngine<I: Idx + WireWord + NarrowVal> {
+pub trait CcEngine<I: Idx + WireWord> {
     /// Which engine this is (tags the run's trace span).
     fn kind(&self) -> EngineKind;
 
@@ -221,7 +220,7 @@ pub trait CcEngine<I: Idx + WireWord + NarrowVal> {
 }
 
 /// The engine implementation for a resolved [`EngineKind`].
-pub fn engine_for<I: Idx + WireWord + NarrowVal>(kind: EngineKind) -> &'static dyn CcEngine<I> {
+pub fn engine_for<I: Idx + WireWord>(kind: EngineKind) -> &'static dyn CcEngine<I> {
     match kind {
         EngineKind::Lacc => &LaccEngine,
         EngineKind::Fastsv => &FastsvEngine,
@@ -380,7 +379,7 @@ pub struct LaccEngine;
 /// Star recomputation (Algorithm 6) over distributed vectors.
 ///
 /// Returns the number of extract requests this rank received (Figure 3).
-fn starcheck_dist<I: Idx + WireWord + NarrowVal>(
+fn starcheck_dist<I: Idx + WireWord>(
     comm: &mut Comm,
     f: &DistVec<I>,
     star: &mut DistVec<bool>,
@@ -398,16 +397,16 @@ fn starcheck_dist<I: Idx + WireWord + NarrowVal>(
     comm.charge_compute(local_active.len() as u64 + 1);
     // Grandparents of active vertices: gf[v] = f[f[v]]. Both extracts
     // below use the identical request list over same-layout vectors, so
-    // the owner bucketing (and dedup) is planned once and reused.
+    // the owner bucketing is planned once and reused.
     let reqs: Vec<I> = local_active.iter().map(|&o| f.local()[o]).collect();
-    let plan = plan_requests(comm, f.layout(), &reqs, dist_opts);
+    let plan = plan_requests(comm, f.layout(), &reqs);
     if dist_opts.combine_in_flight && dist_opts.fuse_starcheck {
         // Fused: one combining request exchange serves both reply phases
         // (the route is replayed). The parent-star phase reads `star`
         // *after* the demote assign, exactly as the unfused pair does.
         let (fx, gfs) = comm.overlap_from(win, dist_opts.overlap, |c| {
-            let fx = FusedExtract::begin_narrow(c, &plan, dist_opts.narrow);
-            let gfs = fx.extract(c, f, &plan, dist_opts);
+            let fx = FusedExtract::begin(c, &plan);
+            let gfs = fx.extract(c, f, &plan);
             (fx, gfs)
         });
         let mut demote: Vec<(I, bool)> = Vec::new();
@@ -419,7 +418,7 @@ fn starcheck_dist<I: Idx + WireWord + NarrowVal>(
         }
         comm.charge_compute(local_active.len() as u64 + 1);
         dist_assign(comm, star, &demote, AndBool, dist_opts);
-        let parent_star = fx.extract(comm, star, &plan, dist_opts);
+        let parent_star = fx.extract(comm, star, &plan);
         for (&o, &ps) in local_active.iter().zip(&parent_star) {
             star.local_mut()[o] = star.local_mut()[o] && ps;
         }
@@ -448,7 +447,7 @@ fn starcheck_dist<I: Idx + WireWord + NarrowVal>(
     st1.received_requests + st2.received_requests
 }
 
-impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
+impl<I: Idx + WireWord> CcEngine<I> for LaccEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Lacc
     }
@@ -478,15 +477,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
         // zero-change iteration proves a fixpoint only if the previous
         // shortcut changed nothing (the star vector was fresh).
         let mut prev_shortcut_changed = 0u64;
-        // Label-range narrowing: `dopts.narrow` carries the wire tier the
-        // planner picked for the upcoming iteration's exchanges. Iteration
-        // 1 is seeded for free from the identity labeling; later
-        // iterations re-plan from the probe piggybacked on the
-        // convergence allreduce.
-        let planner = NarrowPlanner::new(&opts.dist);
-        let mut dopts = opts.dist;
-        let seed = planner.seed_probe(n);
-        dopts.narrow = planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
+        let dopts = &opts.dist;
 
         for _iteration in 1..=opts.max_iters {
             let mut rec = EngineIter {
@@ -526,7 +517,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     &pairs,
                     DistMask::Keep(&mask_vec),
                     gblas::MinMaxUsize,
-                    &dopts,
+                    dopts,
                 )
             } else {
                 let entries: Vec<(I, (I, I))> = active
@@ -545,7 +536,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     &x,
                     DistMask::Keep(&mask_vec),
                     gblas::MinMaxUsize,
-                    &dopts,
+                    dopts,
                 )
             };
             // Lemma-1 candidates (active stars) and their extract plan
@@ -557,7 +548,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     .collect();
                 let reqs: Vec<I> = candidates.iter().map(|&o| f.local()[o]).collect();
                 ctx.comm.charge_compute(chunk_len as u64 + 1);
-                let plan = plan_requests(ctx.comm, layout, &reqs, &dopts);
+                let plan = plan_requests(ctx.comm, layout, &reqs);
                 (candidates, plan)
             });
             let q: DistSpVec<(I, I), I> = qh.wait(ctx.comm);
@@ -577,8 +568,8 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     })
                     .map(|&(v, _)| (f.get_local(v.idx()), false))
                     .collect();
-                dist_assign(ctx.comm, &mut root_quiet, &demote, AndBool, &dopts);
-                let (flags, st) = dist_extract_planned(ctx.comm, &root_quiet, plan, &dopts);
+                dist_assign(ctx.comm, &mut root_quiet, &demote, AndBool, dopts);
+                let (flags, st) = dist_extract_planned(ctx.comm, &root_quiet, plan, dopts);
                 rec.extract_received += st.received_requests;
                 for (&o, &quiet) in candidates.iter().zip(&flags) {
                     if quiet {
@@ -600,11 +591,11 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     (fv, lo.min(fv))
                 })
                 .collect();
-            rec.cond_changed = dist_assign(ctx.comm, &mut f, &updates, MinUsize, &dopts).0 as u64;
+            rec.cond_changed = dist_assign(ctx.comm, &mut f, &updates, MinUsize, dopts).0 as u64;
             rec.modeled.cond_s += ctx.comm.span_close(span);
 
             let span = ctx.comm.span_open(SpanKind::Starcheck);
-            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, &dopts);
+            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, dopts);
             rec.modeled.starcheck_s += ctx.comm.span_close(span);
 
             // --- Step 2: unconditional hooking ---
@@ -629,19 +620,18 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
             };
             ctx.comm.charge_compute(2 * chunk_len as u64 + 1);
             let fn2 = ctx.comm.overlap_from(win, dopts.overlap, |c| {
-                dist_mxv(c, &ctx.a, &x, DistMask::Keep(&mask_vec2), MinUsize, &dopts)
+                dist_mxv(c, &ctx.a, &x, DistMask::Keep(&mask_vec2), MinUsize, dopts)
             });
             let updates2: Vec<(I, I)> = fn2
                 .entries()
                 .iter()
                 .map(|&(v, m)| (f.get_local(v.idx()), m))
                 .collect();
-            rec.uncond_changed =
-                dist_assign(ctx.comm, &mut f, &updates2, MinUsize, &dopts).0 as u64;
+            rec.uncond_changed = dist_assign(ctx.comm, &mut f, &updates2, MinUsize, dopts).0 as u64;
             rec.modeled.uncond_s += ctx.comm.span_close(span);
 
             let span = ctx.comm.span_open(SpanKind::Starcheck);
-            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, &dopts);
+            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, dopts);
             rec.modeled.starcheck_s += ctx.comm.span_close(span);
 
             // --- Step 3: shortcutting (active nonstars) ---
@@ -656,7 +646,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
             ctx.comm.charge_compute(chunk_len as u64 + 1);
             let (gfs, st) = ctx
                 .comm
-                .overlap_from(win, dopts.overlap, |c| dist_extract(c, &f, &reqs, &dopts));
+                .overlap_from(win, dopts.overlap, |c| dist_extract(c, &f, &reqs, dopts));
             rec.extract_received += st.received_requests;
             for (&o, &gf) in targets.iter().zip(&gfs) {
                 if f.local()[o] != gf {
@@ -667,29 +657,15 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
             ctx.comm.charge_compute(targets.len() as u64 + 1);
             rec.modeled.shortcut_s += ctx.comm.span_close(span);
 
-            // --- Global convergence test, with the narrowing probe
-            // piggybacked (elements 4–5: max label word max-merged, local
-            // distinct count summed). The payload is six words whether
-            // narrowing is on or off, so `words_sent` cannot depend on the
-            // flag; the probe compute is charged only when enabled.
-            let probe = planner.local_probe(ctx.comm, f.local());
+            // --- Global convergence test ---
             let local = [
                 rec.cond_changed,
                 rec.uncond_changed,
                 rec.shortcut_changed,
                 newly_converged,
-                probe[0],
-                probe[1],
             ];
             let global = ctx.comm.allreduce(&world, local, |a, b| {
-                [
-                    a[0] + b[0],
-                    a[1] + b[1],
-                    a[2] + b[2],
-                    a[3] + b[3],
-                    a[4].max(b[4]),
-                    a[5] + b[5],
-                ]
+                [a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]]
             });
             rec.cond_changed = global[0];
             rec.uncond_changed = global[1];
@@ -704,17 +680,6 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
             if done {
                 break;
             }
-            // Plan the next iteration's wire tier; a shortcut that moved
-            // labels invalidates the dictionary (stale dense ranks still
-            // decode, they just stop being tight).
-            dopts.narrow = planner.plan(
-                ctx.comm,
-                &world,
-                global[4],
-                global[5],
-                global[2] > 0,
-                f.local(),
-            );
         }
 
         // Widen back to `Vid` at the boundary: callers always see
@@ -736,8 +701,8 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
 /// `gblas::dist` primitives: the min-semiring `mxv` computes each
 /// vertex's minimum neighbor-grandparent, stochastic hooks route through
 /// the combining `dist_assign`, and the grandparent refresh is a planned
-/// extract (dedup + in-flight combining apply). Labels converge to
-/// component minima.
+/// extract (in-flight combining applies). Labels converge to component
+/// minima.
 ///
 /// Step-bucket mapping (Figure-8 schema reinterpreted): `cond` = the
 /// `mxv` + stochastic hooking, `uncond` = aggressive hooking, `shortcut`
@@ -746,7 +711,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
 /// after the forest mutates).
 pub struct FastsvEngine;
 
-impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
+impl<I: Idx + WireWord> CcEngine<I> for FastsvEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Fastsv
     }
@@ -771,14 +736,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
         let world = ctx.comm.world();
         let max_rounds = 8 * (usize::BITS - n.leading_zeros()) as usize + 32;
         let mut iters: Vec<EngineIter> = Vec::new();
-        // Narrowing plan for the upcoming round, seeded from the identity
-        // labeling and refreshed off the convergence allreduce (see the
-        // LACC engine). `gf` values are always current-or-earlier `f`
-        // values, so one f-probe covers both exchanged vectors.
-        let planner = NarrowPlanner::new(&opts.dist);
-        let mut dopts = opts.dist;
-        let seed = planner.seed_probe(n);
-        dopts.narrow = planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
+        let dopts = &opts.dist;
         loop {
             assert!(iters.len() < max_rounds, "FastSV did not converge");
             let mut rec = EngineIter {
@@ -791,7 +749,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
             // hooking f[f[u]] ← min(f[f[u]], fn[u]).
             let span = ctx.comm.span_open(SpanKind::CondHook);
             let fn_vec: DistSpVec<I, I> =
-                dist_mxv_dense(ctx.comm, &ctx.a, &gf, DistMask::None, MinUsize, &dopts);
+                dist_mxv_dense(ctx.comm, &ctx.a, &gf, DistMask::None, MinUsize, dopts);
             let hooks: Vec<(I, I)> = fn_vec
                 .entries()
                 .iter()
@@ -800,7 +758,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
                     (fu, m.min(fu))
                 })
                 .collect();
-            rec.cond_changed = dist_assign(ctx.comm, &mut f, &hooks, MinUsize, &dopts).0 as u64;
+            rec.cond_changed = dist_assign(ctx.comm, &mut f, &hooks, MinUsize, dopts).0 as u64;
             rec.modeled.cond_s += ctx.comm.span_close(span);
 
             // The grandparent-refresh exchange below pipelines behind the
@@ -834,12 +792,12 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
             rec.modeled.shortcut_s += ctx.comm.span_close(span);
 
             // Grandparent maintenance: gf[u] ← f[f[u]] via a planned
-            // extract (requests dedup + combine like every other gather).
+            // extract (requests combine like every other gather).
             let span = ctx.comm.span_open(SpanKind::Starcheck);
             let reqs: Vec<I> = f.local().to_vec();
-            let plan = plan_requests(ctx.comm, f.layout(), &reqs, &dopts);
+            let plan = plan_requests(ctx.comm, f.layout(), &reqs);
             let (new_gf, st) = ctx.comm.overlap_from(win, dopts.overlap, |c| {
-                dist_extract_planned(c, &f, &plan, &dopts)
+                dist_extract_planned(c, &f, &plan, dopts)
             });
             rec.extract_received += st.received_requests;
             let mut gf_changed = 0u64;
@@ -853,27 +811,15 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
             rec.modeled.starcheck_s += ctx.comm.span_close(span);
 
             // Converged when a full round (hooks + shortcut + grandparent
-            // refresh) changed nothing anywhere. Elements 4–5 piggyback
-            // the narrowing probe (max-merged word, summed distinct
-            // count); the payload is six words with narrowing on or off.
-            let probe = planner.local_probe(ctx.comm, f.local());
+            // refresh) changed nothing anywhere.
             let local = [
                 rec.cond_changed,
                 rec.uncond_changed,
                 rec.shortcut_changed,
                 gf_changed,
-                probe[0],
-                probe[1],
             ];
             let global = ctx.comm.allreduce(&world, local, |a, b| {
-                [
-                    a[0] + b[0],
-                    a[1] + b[1],
-                    a[2] + b[2],
-                    a[3] + b[3],
-                    a[4].max(b[4]),
-                    a[5] + b[5],
-                ]
+                [a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]]
             });
             rec.cond_changed = global[0];
             rec.uncond_changed = global[1];
@@ -884,14 +830,6 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
             if done {
                 break;
             }
-            dopts.narrow = planner.plan(
-                ctx.comm,
-                &world,
-                global[4],
-                global[5],
-                global[2] > 0,
-                f.local(),
-            );
         }
         let labels: Vec<Vid> = f.to_global(ctx.comm).into_iter().map(|l| l.idx()).collect();
         EngineRun {
@@ -916,7 +854,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
 /// All work lands in the `cond` step bucket (one phase per round).
 pub struct LabelPropEngine;
 
-impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LabelPropEngine {
+impl<I: Idx + WireWord> CcEngine<I> for LabelPropEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::LabelProp
     }
@@ -938,13 +876,6 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LabelPropEngine {
         let mut f: DistVec<I> = DistVec::from_fn(layout, rank, I::from_usize);
         let world = ctx.comm.world();
         let mut iters: Vec<EngineIter> = Vec::new();
-        // Narrowing plan for the upcoming round (seed free from identity
-        // labels, refreshed off the scalar convergence allreduce widened
-        // to three words — on and off alike, so words stay identical).
-        let planner = NarrowPlanner::new(&opts.dist);
-        let mut dopts = opts.dist;
-        let seed = planner.seed_probe(n);
-        dopts.narrow = planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
         loop {
             // The true bound is the diameter (< n); `max_iters` is a
             // safety knob for LACC's O(log n) trajectory and would be a
@@ -957,7 +888,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LabelPropEngine {
             };
             let span = ctx.comm.span_open(SpanKind::CondHook);
             let fn_vec: DistSpVec<I, I> =
-                dist_mxv_dense(ctx.comm, &ctx.a, &f, DistMask::None, MinUsize, &dopts);
+                dist_mxv_dense(ctx.comm, &ctx.a, &f, DistMask::None, MinUsize, &opts.dist);
             let mut changed = 0u64;
             for &(u, m) in fn_vec.entries() {
                 if m < f.get_local(u.idx()) {
@@ -967,13 +898,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LabelPropEngine {
             }
             ctx.comm.charge_compute(fn_vec.local_nvals() as u64 + 1);
             rec.modeled.cond_s += ctx.comm.span_close(span);
-            let probe = planner.local_probe(ctx.comm, f.local());
-            let merged = ctx
-                .comm
-                .allreduce(&world, [changed, probe[0], probe[1]], |a, b| {
-                    [a[0] + b[0], a[1].max(b[1]), a[2] + b[2]]
-                });
-            let total = merged[0];
+            let total = ctx.comm.allreduce(&world, changed, |a, b| a + b);
             rec.cond_changed = total;
             let done = total == 0;
             rec.converged_after = if done { n } else { 0 };
@@ -981,11 +906,6 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LabelPropEngine {
             if done {
                 break;
             }
-            // Any label movement invalidates the dictionary for tightness
-            // (the new minima are still contained, so a stale dictionary
-            // would decode fine — it just stops being dense-ranked).
-            dopts.narrow =
-                planner.plan(ctx.comm, &world, merged[1], merged[2], total > 0, f.local());
         }
         let labels: Vec<Vid> = f.to_global(ctx.comm).into_iter().map(|l| l.idx()).collect();
         EngineRun {

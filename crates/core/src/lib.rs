@@ -37,21 +37,17 @@
 pub mod asref;
 pub mod dist;
 pub mod engine;
-pub mod narrow;
 pub mod options;
 pub mod serial;
 pub mod stats;
 pub mod verify;
 
 pub use dist::{run, RunConfig, RunOutput};
-#[allow(deprecated)]
-pub use dist::{run_distributed, run_distributed_rerun, run_distributed_traced};
 pub use dmsim::EngineKind;
 pub use engine::{
     caps_for, choose_engine, engine_for, CcEngine, EngineCaps, EngineCtx, EngineIter, EngineRun,
     EngineSelect, FastsvEngine, LabelPropEngine, LaccEngine,
 };
-pub use narrow::NarrowPlanner;
 pub use options::{IndexWidth, LaccOpts, LaccOptsBuilder, OptsError};
 pub use serial::lacc_serial;
 pub use stats::{IterStats, LaccRun, StepBreakdown};

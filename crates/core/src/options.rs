@@ -326,24 +326,6 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Enables or disables sender-side request dedup in `extract`.
-    pub fn dedup_requests(mut self, on: bool) -> Self {
-        self.opts.dist.dedup_requests = on;
-        self
-    }
-
-    /// Enables or disables sender-side monoid pre-combining in `assign`.
-    pub fn combine_assigns(mut self, on: bool) -> Self {
-        self.opts.dist.combine_assigns = on;
-        self
-    }
-
-    /// Enables or disables delta/bitmap compression of exchanged id lists.
-    pub fn compress_ids(mut self, on: bool) -> Self {
-        self.opts.dist.compress_ids = on;
-        self
-    }
-
     /// Enables or disables in-flight combining: `extract`/`assign`
     /// traffic merges cross-rank duplicates at the hypercube hops.
     pub fn combine_in_flight(mut self, on: bool) -> Self {
@@ -358,12 +340,6 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Enables or disables run-length encoding of exchanged value streams.
-    pub fn compress_values(mut self, on: bool) -> Self {
-        self.opts.dist.compress_values = on;
-        self
-    }
-
     /// Enables or disables compute/communication overlap: hot-path
     /// exchanges are posted non-blocking and the modeled clock is refunded
     /// for exchange time hidden behind independent local compute. Results
@@ -372,42 +348,6 @@ impl LaccOptsBuilder {
     pub fn overlap(mut self, on: bool) -> Self {
         self.opts.dist.overlap = on;
         self
-    }
-
-    /// Enables or disables dynamic label-range narrowing: a probe
-    /// piggybacked on the convergence allreduce picks a narrower wire
-    /// encoding (raw u16 or dictionary codes) per iteration once the
-    /// live label range or survivor count permits. Labels, iteration
-    /// counts, and per-rank word counts are bit-identical either way;
-    /// only `bytes_sent` shrinks (see [`crate::narrow`]).
-    pub fn narrow_labels(mut self, on: bool) -> Self {
-        self.opts.dist.narrow_labels = on;
-        self
-    }
-
-    /// Unique-offsets-per-span density at or above which a compressed
-    /// bucket may use the bitmap encoding. Must be a finite value in
-    /// `0.0..=1.0` (`0.0` always allows the bitmap, `1.0` effectively
-    /// forces delta encoding except for fully contiguous buckets).
-    pub fn bitmap_density(mut self, d: f64) -> Result<Self, OptsError> {
-        if !d.is_finite() || !(0.0..=1.0).contains(&d) {
-            return Err(OptsError::new(
-                "bitmap-density",
-                format!("{d} is not in 0.0..=1.0"),
-            ));
-        }
-        self.opts.dist.compress_bitmap_density = d;
-        Ok(self)
-    }
-
-    /// Request-bucket length at or above which dedup switches from
-    /// sort-and-dedup to the hash-set path. Must be at least 1.
-    pub fn dedup_hash_threshold(mut self, k: usize) -> Result<Self, OptsError> {
-        if k == 0 {
-            return Err(OptsError::new("dedup-hash-threshold", "must be at least 1"));
-        }
-        self.opts.dist.dedup_hash_threshold = k;
-        Ok(self)
     }
 
     /// Finishes the builder. Infallible: every fallible setter already
@@ -477,18 +417,9 @@ mod tests {
             .permute_seed(7)
             .cyclic_vectors(true)
             .engine(EngineSelect::Fastsv)
-            .dedup_requests(false)
-            .combine_assigns(false)
-            .compress_ids(false)
             .combine_in_flight(false)
             .fuse_starcheck(false)
-            .compress_values(false)
             .overlap(false)
-            .narrow_labels(false)
-            .bitmap_density(0.125)
-            .unwrap()
-            .dedup_hash_threshold(512)
-            .unwrap()
             .build();
         assert!(!o.use_sparsity);
         assert_eq!(o.dense_threshold, 0.25);
@@ -502,16 +433,9 @@ mod tests {
         assert_eq!(o.permute_seed, 7);
         assert!(o.cyclic_vectors);
         assert_eq!(o.engine, EngineSelect::Fastsv);
-        assert!(!o.dist.dedup_requests);
-        assert!(!o.dist.combine_assigns);
-        assert!(!o.dist.compress_ids);
         assert!(!o.dist.combine_in_flight);
         assert!(!o.dist.fuse_starcheck);
-        assert!(!o.dist.compress_values);
         assert!(!o.dist.overlap);
-        assert!(!o.dist.narrow_labels);
-        assert_eq!(o.dist.compress_bitmap_density, 0.125);
-        assert_eq!(o.dist.dedup_hash_threshold, 512);
     }
 
     #[test]
@@ -531,19 +455,6 @@ mod tests {
         assert!(LaccOpts::builder().hot_threshold(f64::INFINITY).is_ok());
         let err = LaccOpts::builder().max_iters(0).unwrap_err();
         assert_eq!(err.to_string(), "invalid max-iters: must be at least 1");
-        assert_eq!(
-            LaccOpts::builder().bitmap_density(1.5).unwrap_err().field(),
-            "bitmap-density"
-        );
-        assert!(LaccOpts::builder().bitmap_density(-0.1).is_err());
-        assert!(LaccOpts::builder().bitmap_density(f64::NAN).is_err());
-        assert_eq!(
-            LaccOpts::builder()
-                .dedup_hash_threshold(0)
-                .unwrap_err()
-                .field(),
-            "dedup-hash-threshold"
-        );
     }
 
     #[test]
@@ -566,26 +477,13 @@ mod tests {
     }
 
     #[test]
-    fn naive_comm_disables_compaction() {
+    fn naive_comm_disables_combining_and_overlap() {
         let o = LaccOpts::naive_comm();
-        assert!(!o.dist.dedup_requests);
-        assert!(!o.dist.combine_assigns);
-        assert!(!o.dist.compress_ids);
         assert!(!o.dist.combine_in_flight);
         assert!(!o.dist.fuse_starcheck);
-        assert!(!o.dist.compress_values);
         assert!(!o.dist.overlap, "naive baseline runs strictly blocking");
-        assert!(
-            !o.dist.narrow_labels,
-            "naive baseline ships native-width labels"
-        );
         let d = LaccOpts::default();
-        assert!(d.dist.dedup_requests && d.dist.combine_assigns && d.dist.compress_ids);
-        assert!(d.dist.combine_in_flight && d.dist.fuse_starcheck && d.dist.compress_values);
+        assert!(d.dist.combine_in_flight && d.dist.fuse_starcheck);
         assert!(d.dist.overlap, "overlap is part of the optimized default");
-        assert!(
-            d.dist.narrow_labels,
-            "narrowing is part of the optimized default"
-        );
     }
 }

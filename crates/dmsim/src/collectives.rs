@@ -26,7 +26,7 @@
 
 use crate::comm::{bytes_of, words_of, Comm, CommHandle, Group, PooledBuf};
 use crate::trace::SpanKind;
-use crate::wire::{self, NarrowSpec, WireWord};
+use crate::wire::{self, WireWord};
 
 /// Algorithm choice for [`Comm::alltoallv`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,30 +45,6 @@ pub enum AllToAll {
     /// communicate. Ideal when most buckets are empty (late LACC
     /// iterations, Figure 3's "processes 7–15 have no data").
     Sparse,
-}
-
-/// A pre-encoded byte bucket for the framed collectives
-/// ([`Comm::allgatherv_framed`], [`Comm::alltoallv_framed`]).
-///
-/// Framed collectives execute the *same message pattern* as their typed
-/// counterparts but ship caller-encoded byte streams, with β charged at
-/// `legacy_words` — the word count the matching typed exchange pays with
-/// narrowing off. That split keeps `words_sent` and the modeled clock
-/// bit-identical whether a narrowing tier is active or not, while
-/// [`crate::cost::CostSnapshot::bytes_sent`] honestly reflects the
-/// narrow stream (the delta is what
-/// [`crate::cost::CostSnapshot::narrow_saved_bytes`] accounts).
-#[derive(Clone, Debug, Default)]
-pub struct FramedBlock {
-    /// Words charged to the β clock when this block is sent: the legacy
-    /// charge of the typed exchange this block replaces.
-    pub legacy_words: u64,
-    /// Logical element count of the block. Drives the sparse all-to-all
-    /// count phase and empty-bucket gating exactly like the element
-    /// count of the legacy typed exchange, so the α pattern matches.
-    pub items: u64,
-    /// The encoded stream actually shipped (counted in `bytes_sent`).
-    pub bytes: Vec<u8>,
 }
 
 impl Comm {
@@ -513,210 +489,6 @@ impl Comm {
         out
     }
 
-    /// [`Comm::allgatherv`] over a pre-encoded byte block: the same ring,
-    /// message for message, but each hop charges β at the block's
-    /// [`FramedBlock::legacy_words`] while shipping (and byte-counting)
-    /// its encoded stream. Returns every member's bytes by group index.
-    pub fn allgatherv_framed(&mut self, g: &Group, mine: FramedBlock) -> Vec<Vec<u8>> {
-        let span = self.span_open(SpanKind::Allgatherv);
-        let q = g.size();
-        let me = g.my_index();
-        let mut result: Vec<Option<Vec<u8>>> = (0..q).map(|_| None).collect();
-        let right = g.member((me + 1) % q);
-        let left = g.member((me + q - 1) % q);
-        // The carry rides the ring as (legacy_words, bytes) so every
-        // forwarder knows the legacy charge without re-deriving it.
-        let mut carry: (u64, Vec<u8>) = (mine.legacy_words, mine.bytes.clone());
-        result[me] = Some(mine.bytes);
-        for step in 1..q {
-            let w = carry.0;
-            let b = carry.1.len() as u64;
-            self.send_counted_bytes(right, carry, w, b);
-            let (in_words, in_bytes): (u64, Vec<u8>) = self.recv(left);
-            let origin = (me + q - step) % q;
-            carry = if step + 1 < q {
-                (in_words, in_bytes.clone())
-            } else {
-                (0, Vec::new())
-            };
-            result[origin] = Some(in_bytes);
-        }
-        self.span_close(span);
-        result
-            .into_iter()
-            .map(|r| r.expect("ring delivered all blocks"))
-            .collect()
-    }
-
-    /// [`Comm::alltoallv`] over pre-encoded byte buckets: the same
-    /// algorithm selection (including the hypercube → pairwise fallback
-    /// on non-power-of-two groups), the same per-algorithm message
-    /// pattern and header charges, but each bucket ships its encoded
-    /// stream while charging β at [`FramedBlock::legacy_words`]. The
-    /// sparse variant's count phase and empty-bucket gates run on
-    /// [`FramedBlock::items`], matching the legacy element-count gates.
-    pub fn alltoallv_framed(
-        &mut self,
-        g: &Group,
-        bufs: Vec<FramedBlock>,
-        algo: AllToAll,
-    ) -> Vec<Vec<u8>> {
-        let q = g.size();
-        assert_eq!(bufs.len(), q, "one framed bucket per group member");
-        if q == 1 {
-            return bufs.into_iter().map(|b| b.bytes).collect();
-        }
-        let effective = match algo {
-            AllToAll::Hypercube if !q.is_power_of_two() => AllToAll::Pairwise,
-            other => other,
-        };
-        let span = self.span_open(SpanKind::Alltoallv(effective));
-        let out = match effective {
-            AllToAll::Direct => self.alltoallv_framed_direct(g, bufs),
-            AllToAll::Pairwise => self.alltoallv_framed_pairwise(g, bufs),
-            AllToAll::Hypercube => self.alltoallv_framed_hypercube(g, bufs),
-            AllToAll::Sparse => {
-                let count_algo = if q.is_power_of_two() {
-                    AllToAll::Hypercube
-                } else {
-                    AllToAll::Pairwise
-                };
-                self.alltoallv_framed_sparse(g, bufs, count_algo)
-            }
-        };
-        self.span_close(span);
-        out
-    }
-
-    fn alltoallv_framed_direct(&mut self, g: &Group, mut bufs: Vec<FramedBlock>) -> Vec<Vec<u8>> {
-        let q = g.size();
-        let me = g.my_index();
-        for k in 0..q {
-            if k != me {
-                let blk = std::mem::take(&mut bufs[k]);
-                let (w, b) = (blk.legacy_words, blk.bytes.len() as u64);
-                self.send_counted_bytes(g.member(k), blk.bytes, w, b);
-            }
-        }
-        (0..q)
-            .map(|k| {
-                if k == me {
-                    std::mem::take(&mut bufs[me]).bytes
-                } else {
-                    self.recv::<Vec<u8>>(g.member(k))
-                }
-            })
-            .collect()
-    }
-
-    fn alltoallv_framed_pairwise(&mut self, g: &Group, mut bufs: Vec<FramedBlock>) -> Vec<Vec<u8>> {
-        let q = g.size();
-        let me = g.my_index();
-        let mut result: Vec<Option<Vec<u8>>> = (0..q).map(|_| None).collect();
-        result[me] = Some(std::mem::take(&mut bufs[me]).bytes);
-        for round in 1..q {
-            let to = (me + round) % q;
-            let from = (me + q - round) % q;
-            let blk = std::mem::take(&mut bufs[to]);
-            let (w, b) = (blk.legacy_words, blk.bytes.len() as u64);
-            self.send_counted_bytes(g.member(to), blk.bytes, w, b);
-            result[from] = Some(self.recv::<Vec<u8>>(g.member(from)));
-        }
-        result
-            .into_iter()
-            .map(|r| r.expect("pairwise covered all"))
-            .collect()
-    }
-
-    fn alltoallv_framed_hypercube(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<FramedBlock>,
-    ) -> Vec<Vec<u8>> {
-        let q = g.size();
-        let me = g.my_index();
-        debug_assert!(q.is_power_of_two());
-        let mut result: Vec<Option<Vec<u8>>> = (0..q).map(|_| None).collect();
-        result[me] = Some(std::mem::take(&mut bufs[me]).bytes);
-        // In-flight buckets: (origin, destination, legacy_words, bytes).
-        let mut pool: Vec<(u32, u32, u64, Vec<u8>)> = bufs
-            .into_iter()
-            .enumerate()
-            .filter(|(k, _)| *k != me)
-            .map(|(k, blk)| (me as u32, k as u32, blk.legacy_words, blk.bytes))
-            .collect();
-        let rounds = q.trailing_zeros();
-        for bit_idx in 0..rounds {
-            let bit = 1usize << bit_idx;
-            let partner = me ^ bit;
-            let (send_pool, keep): (Vec<_>, Vec<_>) = pool
-                .into_iter()
-                .partition(|&(_, dest, _, _)| (dest as usize) & bit != me & bit);
-            // Same per-bucket routing-header charges as the typed
-            // hypercube: 2 words / 16 bytes per forwarded bucket.
-            let w: u64 = send_pool.iter().map(|&(_, _, lw, _)| 2 + lw).sum();
-            let b: u64 = send_pool
-                .iter()
-                .map(|(_, _, _, bytes)| 16 + bytes.len() as u64)
-                .sum();
-            self.send_counted_bytes(g.member(partner), send_pool, w, b);
-            pool = keep;
-            let incoming: Vec<(u32, u32, u64, Vec<u8>)> = self.recv(g.member(partner));
-            for (origin, dest, lw, bytes) in incoming {
-                if dest as usize == me {
-                    debug_assert!(result[origin as usize].is_none());
-                    result[origin as usize] = Some(bytes);
-                } else {
-                    pool.push((origin, dest, lw, bytes));
-                }
-            }
-        }
-        debug_assert!(pool.is_empty(), "all buckets routed after log q rounds");
-        result.into_iter().map(|r| r.unwrap_or_default()).collect()
-    }
-
-    fn alltoallv_framed_sparse(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<FramedBlock>,
-        count_algo: AllToAll,
-    ) -> Vec<Vec<u8>> {
-        let q = g.size();
-        let me = g.my_index();
-        // Count phase on logical items, so the gating (and hence the α
-        // pattern) matches the legacy sparse exchange element-for-element.
-        let counts: Vec<Vec<u64>> = (0..q)
-            .map(|k| {
-                let mut c: PooledBuf<u64> = self.pooled_buf();
-                c.push(bufs[k].items);
-                c.detach()
-            })
-            .collect();
-        let incoming_counts = self.alltoallv(g, counts, count_algo);
-        for k in 0..q {
-            if k != me && bufs[k].items > 0 {
-                let blk = std::mem::take(&mut bufs[k]);
-                let (w, b) = (blk.legacy_words, blk.bytes.len() as u64);
-                self.send_counted_bytes(g.member(k), blk.bytes, w, b);
-            }
-        }
-        let out = (0..q)
-            .map(|k| {
-                if k == me {
-                    std::mem::take(&mut bufs[me]).bytes
-                } else if incoming_counts[k].first().copied().unwrap_or(0) > 0 {
-                    self.recv::<Vec<u8>>(g.member(k))
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        for c in incoming_counts {
-            drop(self.adopt_buf(c));
-        }
-        out
-    }
-
     /// Gather to group index `root_idx`: root returns all contributions
     /// (indexed by group index), others return `None`.
     pub fn gatherv<T: Send + 'static>(
@@ -766,8 +538,8 @@ impl Comm {
 // different origins heading to the same (destination, key) meet on some
 // intermediate rank — origins differing first in bit j meet after round
 // j — and an associative merge there collapses them to one wire entry
-// for the rest of the route. Sender-side compaction cannot see these
-// duplicates; this is where cross-sender redundancy dies.
+// for the rest of the route. No single sender can see these duplicates;
+// this is where cross-sender redundancy dies.
 
 /// Origin flag: the entry was already held here before the round.
 const FROM_SELF: u8 = 1;
@@ -901,30 +673,7 @@ impl Comm {
         g: &Group,
         bufs: Vec<Vec<T>>,
         key_of: KF,
-        merge: M,
-    ) -> Vec<T>
-    where
-        T: Send + 'static,
-        K: WireWord + Ord + Copy + Send + 'static,
-        KF: Fn(&T) -> K,
-        M: FnMut(&mut T, T),
-    {
-        self.alltoallv_combining_narrow(g, bufs, key_of, merge, NarrowSpec::NATIVE)
-    }
-
-    /// [`Comm::alltoallv_combining`] with a dynamic narrowing tier for the
-    /// hop key streams (see [`crate::wire::NarrowSpec`]). With
-    /// [`NarrowSpec::NATIVE`] the wire bytes are identical to the plain
-    /// call; an active tier may re-encode each key stream below its legacy
-    /// width (never above — the legacy stream stays a candidate), crediting
-    /// the delta to [`crate::cost::CostSnapshot::narrow_saved_bytes`].
-    pub fn alltoallv_combining_narrow<T, K, KF, M>(
-        &mut self,
-        g: &Group,
-        bufs: Vec<Vec<T>>,
-        key_of: KF,
         mut merge: M,
-        spec: NarrowSpec,
     ) -> Vec<T>
     where
         T: Send + 'static,
@@ -937,7 +686,7 @@ impl Comm {
             .map(|b| b.into_iter().map(|t| (key_of(&t), t)).collect())
             .collect();
         let span = self.span_open(SpanKind::AlltoallvCombining);
-        let out = self.combining_exchange(g, keyed, &mut merge, spec);
+        let out = self.combining_exchange(g, keyed, &mut merge);
         self.span_close(span);
         out.into_iter().map(|(_, t)| t).collect()
     }
@@ -951,24 +700,7 @@ impl Comm {
         &mut self,
         g: &Group,
         bufs: Vec<Vec<(K, T)>>,
-        merge: M,
-    ) -> Vec<(K, T)>
-    where
-        K: WireWord + Ord + Copy + Send + 'static,
-        T: Send + 'static,
-        M: FnMut(&mut T, T),
-    {
-        self.reduce_scatter_by_key_narrow(g, bufs, merge, NarrowSpec::NATIVE)
-    }
-
-    /// [`Comm::reduce_scatter_by_key`] with a dynamic narrowing tier for
-    /// the hop key streams; see [`Comm::alltoallv_combining_narrow`].
-    pub fn reduce_scatter_by_key_narrow<K, T, M>(
-        &mut self,
-        g: &Group,
-        bufs: Vec<Vec<(K, T)>>,
         mut merge: M,
-        spec: NarrowSpec,
     ) -> Vec<(K, T)>
     where
         K: WireWord + Ord + Copy + Send + 'static,
@@ -976,7 +708,7 @@ impl Comm {
         M: FnMut(&mut T, T),
     {
         let span = self.span_open(SpanKind::AlltoallvCombining);
-        let out = self.combining_exchange(g, bufs, &mut merge, spec);
+        let out = self.combining_exchange(g, bufs, &mut merge);
         self.span_close(span);
         out
     }
@@ -986,15 +718,12 @@ impl Comm {
         g: &Group,
         mut bufs: Vec<Vec<(K, P)>>,
         merge: &mut M,
-        spec: NarrowSpec,
     ) -> Vec<(K, P)>
     where
         K: WireWord + Ord + Copy + Send + 'static,
         P: Send + 'static,
         M: FnMut(&mut P, P),
     {
-        let dict = self.narrow_dict();
-        let mut narrow_saved = 0u64;
         let q = g.size();
         assert_eq!(bufs.len(), q, "one bucket per group member");
         let me = g.my_index();
@@ -1035,16 +764,8 @@ impl Comm {
                 let wire_msg: Vec<(u32, Vec<u8>, Vec<P>)> = buckets
                     .into_iter()
                     .map(|(dest, keys, ps)| {
-                        let (bytes, saved) =
-                            wire::encode_keys_narrow::<K>(&keys, spec, dict.as_deref());
-                        narrow_saved += saved;
-                        // β is charged by the legacy stream length
-                        // (bytes + saved), so words_sent and the modeled
-                        // clock are identical with narrowing on or off;
-                        // only bytes_sent reflects the narrow stream.
-                        w += 2
-                            + words_of::<u8>(bytes.len() + saved as usize)
-                            + words_of::<P>(ps.len());
+                        let bytes = wire::encode_keys(&keys);
+                        w += 2 + words_of::<u8>(bytes.len()) + words_of::<P>(ps.len());
                         b += 16 + bytes_of::<u8>(bytes.len()) + bytes_of::<P>(ps.len());
                         (dest, bytes, ps)
                     })
@@ -1053,7 +774,7 @@ impl Comm {
                 pool = keep;
                 let incoming: Vec<(u32, Vec<u8>, Vec<P>)> = self.recv(partner);
                 for (dest, bytes, ps) in incoming {
-                    let keys = wire::decode_keys_narrow::<K>(&bytes, dict.as_deref());
+                    let keys = wire::decode_keys::<K>(&bytes);
                     debug_assert_eq!(keys.len(), ps.len());
                     if dest as usize == me {
                         mine.extend(keys.into_iter().zip(ps));
@@ -1067,7 +788,6 @@ impl Comm {
             }
             debug_assert!(pool.is_empty(), "all entries routed after log q rounds");
             self.note_combined_words(saved);
-            self.note_narrow_saved(narrow_saved);
         } else if q > 1 {
             // Non-power-of-two fallback: merge each bucket sender-side,
             // exchange pairwise, fold at the destination. Cross-sender
@@ -1095,27 +815,10 @@ impl Comm {
     /// rank must answer `route.delivered_keys()` and can then scatter any
     /// number of reply phases back over the same route with
     /// [`Comm::combining_replies`].
-    pub fn combining_requests<K>(&mut self, g: &Group, bufs: Vec<Vec<K>>) -> CombineRoute<K>
+    pub fn combining_requests<K>(&mut self, g: &Group, mut bufs: Vec<Vec<K>>) -> CombineRoute<K>
     where
         K: WireWord + Ord + Copy + Send + 'static,
     {
-        self.combining_requests_narrow(g, bufs, NarrowSpec::NATIVE)
-    }
-
-    /// [`Comm::combining_requests`] with a dynamic narrowing tier for the
-    /// hop key streams; see [`Comm::alltoallv_combining_narrow`] for the
-    /// tier semantics and accounting.
-    pub fn combining_requests_narrow<K>(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<Vec<K>>,
-        spec: NarrowSpec,
-    ) -> CombineRoute<K>
-    where
-        K: WireWord + Ord + Copy + Send + 'static,
-    {
-        let dict = self.narrow_dict();
-        let mut narrow_saved = 0u64;
         let q = g.size();
         assert_eq!(bufs.len(), q, "one key bucket per group member");
         let me = g.my_index();
@@ -1160,11 +863,8 @@ impl Comm {
                 let wire_msg: Vec<(u32, Vec<u8>)> = buckets
                     .into_iter()
                     .map(|(dest, keys)| {
-                        let (bytes, saved) =
-                            wire::encode_keys_narrow::<K>(&keys, spec, dict.as_deref());
-                        narrow_saved += saved;
-                        // Legacy-width β charge; see combining_exchange.
-                        w += 2 + words_of::<u8>(bytes.len() + saved as usize);
+                        let bytes = wire::encode_keys(&keys);
+                        w += 2 + words_of::<u8>(bytes.len());
                         b += 16 + bytes_of::<u8>(bytes.len());
                         (dest, bytes)
                     })
@@ -1175,7 +875,7 @@ impl Comm {
                 let mut merged: Vec<(u32, K, u8)> =
                     keep.iter().map(|&(d, k)| (d, k, FROM_SELF)).collect();
                 for (dest, bytes) in incoming {
-                    let keys = wire::decode_keys_narrow::<K>(&bytes, dict.as_deref());
+                    let keys = wire::decode_keys::<K>(&bytes);
                     if dest as usize == me {
                         delivered_round = keys;
                     } else {
@@ -1203,7 +903,6 @@ impl Comm {
             }
             debug_assert!(pool.is_empty(), "all requests routed after log q rounds");
             self.note_combined_words(saved);
-            self.note_narrow_saved(narrow_saved);
         } else if q > 1 {
             let incoming = self.alltoallv(g, my_keys.clone(), AllToAll::Pairwise);
             for keys in &incoming {
@@ -1231,8 +930,7 @@ impl Comm {
     /// reverse — at every recorded merge fork the value is duplicated to
     /// both branches, and reply streams travel as bare value vectors
     /// because both endpoints can reconstruct the (destination, key)
-    /// order from the route. With `compress` the streams are additionally
-    /// run-length encoded ([`crate::wire::encode_words`]).
+    /// order from the route.
     ///
     /// Returns, per destination `k`, the pairs `(key, value)` answering
     /// exactly this rank's original `bufs[k]` keys (sorted, deduped). Can
@@ -1244,31 +942,10 @@ impl Comm {
         g: &Group,
         route: &CombineRoute<K>,
         values: &[T],
-        compress: bool,
     ) -> Vec<Vec<(K, T)>>
     where
         K: WireWord + Ord + Copy + Send + 'static,
-        T: WireWord + Send + 'static,
-    {
-        self.combining_replies_narrow(g, route, values, compress, NarrowSpec::NATIVE)
-    }
-
-    /// [`Comm::combining_replies`] with a dynamic narrowing tier for the
-    /// compressed reply value streams (see [`crate::wire::NarrowSpec`]).
-    /// Only `compress`ed streams are re-encoded — a raw `Vec<T>` reply has
-    /// no codec stage to narrow — and with [`NarrowSpec::NATIVE`] the
-    /// wire bytes are identical to the plain call.
-    pub fn combining_replies_narrow<K, T>(
-        &mut self,
-        g: &Group,
-        route: &CombineRoute<K>,
-        values: &[T],
-        compress: bool,
-        spec: NarrowSpec,
-    ) -> Vec<Vec<(K, T)>>
-    where
-        K: WireWord + Ord + Copy + Send + 'static,
-        T: WireWord + Send + 'static,
+        T: Copy + Send + 'static,
     {
         let q = g.size();
         assert_eq!(q, route.q, "route belongs to a different group");
@@ -1326,8 +1003,8 @@ impl Comm {
                 // shared order that lets keys stay off the reply wire.
                 send.sort_unstable_by_key(|&(d, k, _)| (d, k));
                 let vals: Vec<T> = send.into_iter().map(|(_, _, v)| v).collect();
-                self.send_values(partner, vals, compress, spec);
-                let incoming: Vec<T> = self.recv_values(partner, compress, spec);
+                self.send_vec(partner, vals);
+                let incoming: Vec<T> = self.recv(partner);
                 assert_eq!(
                     incoming.len(),
                     hop.sent.len(),
@@ -1357,58 +1034,7 @@ impl Comm {
                 .iter()
                 .map(|keys| keys.iter().map(|&k| value_of(k)).collect())
                 .collect();
-            let replies: Vec<Vec<T>> = if compress && spec.active() {
-                let dict = self.narrow_dict();
-                let mut narrow_saved = 0u64;
-                let enc: Vec<FramedBlock> = bufs
-                    .iter()
-                    .map(|vals| {
-                        let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-                        // Savings (and the β word charge) are measured
-                        // against what this branch ships with narrowing off
-                        // (the width-free legacy codec), so words_sent is
-                        // identical on/off and only bytes_sent shrinks.
-                        let legacy_len = wire::encode_words(&words).len();
-                        let (bytes, _) =
-                            wire::encode_words_narrow::<T>(&words, spec, dict.as_deref());
-                        narrow_saved += (legacy_len.saturating_sub(bytes.len())) as u64;
-                        FramedBlock {
-                            legacy_words: words_of::<u8>(legacy_len),
-                            items: vals.len() as u64,
-                            bytes,
-                        }
-                    })
-                    .collect();
-                self.note_narrow_saved(narrow_saved);
-                self.alltoallv_framed(g, enc, AllToAll::Pairwise)
-                    .into_iter()
-                    .map(|bytes| {
-                        wire::decode_words_narrow::<T>(&bytes, dict.as_deref())
-                            .into_iter()
-                            .map(T::from_word)
-                            .collect()
-                    })
-                    .collect()
-            } else if compress {
-                let enc: Vec<Vec<u8>> = bufs
-                    .iter()
-                    .map(|vals| {
-                        let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-                        wire::encode_words(&words)
-                    })
-                    .collect();
-                self.alltoallv(g, enc, AllToAll::Pairwise)
-                    .into_iter()
-                    .map(|bytes| {
-                        wire::decode_words(&bytes)
-                            .into_iter()
-                            .map(T::from_word)
-                            .collect()
-                    })
-                    .collect()
-            } else {
-                self.alltoallv(g, bufs, AllToAll::Pairwise)
-            };
+            let replies = self.alltoallv(g, bufs, AllToAll::Pairwise);
             for (d, vals) in replies.into_iter().enumerate() {
                 debug_assert_eq!(vals.len(), route.my_keys[d].len());
                 out[d] = route.my_keys[d].iter().copied().zip(vals).collect();
@@ -1427,54 +1053,6 @@ impl Comm {
             );
         }
         out
-    }
-
-    fn send_values<T: WireWord + Send + 'static>(
-        &mut self,
-        dest: usize,
-        vals: Vec<T>,
-        compress: bool,
-        spec: NarrowSpec,
-    ) {
-        if compress {
-            let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-            let (bytes, saved) = if spec.active() {
-                let dict = self.narrow_dict();
-                wire::encode_words_narrow::<T>(&words, spec, dict.as_deref())
-            } else {
-                (wire::encode_words_for::<T>(&words), 0)
-            };
-            self.note_narrow_saved(saved);
-            // Charge β at the legacy stream length (bytes + saved) so the
-            // word clock is identical with narrowing on or off.
-            let w = words_of::<u8>(bytes.len() + saved as usize);
-            let b = bytes_of::<u8>(bytes.len());
-            self.send_counted_bytes(dest, bytes, w, b);
-        } else {
-            let w = words_of::<T>(vals.len());
-            let b = bytes_of::<T>(vals.len());
-            self.send_counted_bytes(dest, vals, w, b);
-        }
-    }
-
-    fn recv_values<T: WireWord + Send + 'static>(
-        &mut self,
-        src: usize,
-        compress: bool,
-        spec: NarrowSpec,
-    ) -> Vec<T> {
-        if compress {
-            let bytes: Vec<u8> = self.recv(src);
-            let words = if spec.active() {
-                let dict = self.narrow_dict();
-                wire::decode_words_narrow::<T>(&bytes, dict.as_deref())
-            } else {
-                wire::decode_words_for::<T>(&bytes)
-            };
-            words.into_iter().map(T::from_word).collect()
-        } else {
-            self.recv(src)
-        }
     }
 
     /// Non-blocking [`Comm::alltoallv`]: posts the exchange and returns a
@@ -1523,21 +1101,6 @@ impl Comm {
         K: WireWord + Ord + Copy + Send + 'static,
     {
         self.post(on, |c| c.combining_requests(g, bufs))
-    }
-
-    /// Non-blocking [`Comm::combining_requests_narrow`]; see
-    /// [`Comm::combining_requests_start`] for the handle semantics.
-    pub fn combining_requests_start_narrow<K>(
-        &mut self,
-        g: &Group,
-        bufs: Vec<Vec<K>>,
-        on: bool,
-        spec: NarrowSpec,
-    ) -> CommHandle<CombineRoute<K>>
-    where
-        K: WireWord + Ord + Copy + Send + 'static,
-    {
-        self.post(on, move |c| c.combining_requests_narrow(g, bufs, spec))
     }
 }
 
@@ -1878,41 +1441,39 @@ mod tests {
         // Every rank requests an overlapping window of keys from every
         // destination; the destination answers key*7 + dest. Replies must
         // come back aligned with each origin's own (deduped) requests,
-        // compressed or not, for hypercube and fallback group sizes.
+        // for hypercube and fallback group sizes.
         for p in [1, 2, 3, 4, 8, 16] {
-            for compress in [false, true] {
-                let out = run_spmd(p, move |c| {
-                    let w = c.world();
-                    let me = c.rank();
-                    // Duplicates within a bucket exercise the dedup; the
-                    // shared low keys exercise cross-sender merging.
-                    let bufs: Vec<Vec<u64>> = (0..p)
-                        .map(|d| {
-                            (0..=me + 2)
-                                .map(|j| (d * 100 + j % (me + 2)) as u64)
-                                .collect()
-                        })
-                        .collect();
-                    let route = c.combining_requests(&w, bufs);
-                    let values: Vec<u64> = route
-                        .delivered_keys()
-                        .iter()
-                        .map(|&k| k * 7 + me as u64)
-                        .collect();
-                    c.combining_replies(&w, &route, &values, compress)
-                })
-                .unwrap();
-                for (me, replies) in out.into_iter().enumerate() {
-                    for (d, pairs) in replies.into_iter().enumerate() {
-                        let mut want: Vec<u64> = (0..=me + 2)
+            let out = run_spmd(p, move |c| {
+                let w = c.world();
+                let me = c.rank();
+                // Duplicates within a bucket exercise the dedup; the
+                // shared low keys exercise cross-sender merging.
+                let bufs: Vec<Vec<u64>> = (0..p)
+                    .map(|d| {
+                        (0..=me + 2)
                             .map(|j| (d * 100 + j % (me + 2)) as u64)
-                            .collect();
-                        want.sort_unstable();
-                        want.dedup();
-                        let want: Vec<(u64, u64)> =
-                            want.into_iter().map(|k| (k, k * 7 + d as u64)).collect();
-                        assert_eq!(pairs, want, "p={p} me={me} d={d} compress={compress}");
-                    }
+                            .collect()
+                    })
+                    .collect();
+                let route = c.combining_requests(&w, bufs);
+                let values: Vec<u64> = route
+                    .delivered_keys()
+                    .iter()
+                    .map(|&k| k * 7 + me as u64)
+                    .collect();
+                c.combining_replies(&w, &route, &values)
+            })
+            .unwrap();
+            for (me, replies) in out.into_iter().enumerate() {
+                for (d, pairs) in replies.into_iter().enumerate() {
+                    let mut want: Vec<u64> = (0..=me + 2)
+                        .map(|j| (d * 100 + j % (me + 2)) as u64)
+                        .collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    let want: Vec<(u64, u64)> =
+                        want.into_iter().map(|k| (k, k * 7 + d as u64)).collect();
+                    assert_eq!(pairs, want, "p={p} me={me} d={d}");
                 }
             }
         }
@@ -1931,14 +1492,14 @@ mod tests {
                 .collect();
             let route = c.combining_requests(&w, bufs);
             let first: Vec<u64> = route.delivered_keys().iter().map(|&k| k + 1).collect();
-            let r1 = c.combining_replies(&w, &route, &first, false);
+            let r1 = c.combining_replies(&w, &route, &first);
             // "Mutate" owner state between the phases.
             let second: Vec<bool> = route
                 .delivered_keys()
                 .iter()
                 .map(|&k| k % 20 == 0)
                 .collect();
-            let r2 = c.combining_replies(&w, &route, &second, true);
+            let r2 = c.combining_replies(&w, &route, &second);
             (me, r1, r2)
         })
         .unwrap();
@@ -1973,7 +1534,7 @@ mod tests {
                     .collect();
                 let route = c.combining_requests(&w, bufs);
                 let values: Vec<u64> = route.delivered_keys().to_vec();
-                c.combining_replies(&w, &route, &values, false);
+                c.combining_replies(&w, &route, &values);
                 c.snapshot().combined_words
             })
             .unwrap();
@@ -2003,7 +1564,7 @@ mod tests {
                 if combining {
                     let route = c.combining_requests(&w, bufs);
                     let values: Vec<u64> = route.delivered_keys().to_vec();
-                    c.combining_replies(&w, &route, &values, false);
+                    c.combining_replies(&w, &route, &values);
                 } else {
                     let sent = c.alltoallv(&w, bufs, AllToAll::Hypercube);
                     // Direct replies, one word per request.
@@ -2035,7 +1596,7 @@ mod tests {
                 let w = c.world();
                 let route = c.combining_requests(&w, bufs_wide(p));
                 let values: Vec<u64> = route.delivered_keys().iter().map(|&k| k * 3).collect();
-                c.combining_replies(&w, &route, &values, false)
+                c.combining_replies(&w, &route, &values)
             })
             .unwrap();
             let narrow = run_spmd(p, move |c| {
@@ -2046,7 +1607,7 @@ mod tests {
                     .collect();
                 let route = c.combining_requests(&w, bufs);
                 let values: Vec<u32> = route.delivered_keys().iter().map(|&k| k * 3).collect();
-                c.combining_replies(&w, &route, &values, false)
+                c.combining_replies(&w, &route, &values)
             })
             .unwrap();
             for (me, (w64, w32)) in wide.into_iter().zip(narrow).enumerate() {
@@ -2079,14 +1640,14 @@ mod tests {
                         .collect();
                     let route = c.combining_requests(&w, bufs);
                     let values: Vec<u64> = route.delivered_keys().to_vec();
-                    c.combining_replies(&w, &route, &values, false);
+                    c.combining_replies(&w, &route, &values);
                 } else {
                     let bufs: Vec<Vec<u32>> = (0..3)
                         .map(|d| (0..64).map(|j| (d * 1000 + j) as u32).collect())
                         .collect();
                     let route = c.combining_requests(&w, bufs);
                     let values: Vec<u32> = route.delivered_keys().to_vec();
-                    c.combining_replies(&w, &route, &values, false);
+                    c.combining_replies(&w, &route, &values);
                 }
                 c.snapshot().words_sent
             })
@@ -2114,7 +1675,7 @@ mod tests {
             c.charge_compute(50);
             let route = h.wait(c);
             let values: Vec<u64> = route.delivered_keys().iter().map(|&k| k + 1).collect();
-            let replies = c.combining_replies(&w, &route, &values, false);
+            let replies = c.combining_replies(&w, &route, &values);
             (a2a, sum, replies)
         })
         .unwrap();

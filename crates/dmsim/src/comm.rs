@@ -308,13 +308,6 @@ pub struct Comm {
     /// to `snap.compute_s`; reported in trace spans).
     ops_charged: u64,
     pool: Rc<RefCell<BufferPool>>,
-    /// Installed label dictionary for the dictionary narrowing tier (see
-    /// [`crate::wire::NarrowDict`]); `None` until the probe layer installs
-    /// one and after invalidation.
-    narrow_dict: Option<Arc<crate::wire::NarrowDict>>,
-    /// Monotone count of dictionary installs on this rank; used as the
-    /// epoch of the next installed dictionary so stale decodes are caught.
-    narrow_epoch: u64,
     trace: TraceLocal,
     sink: Option<Arc<TraceSink>>,
 }
@@ -382,21 +375,12 @@ impl Comm {
         self.snap.bytes_sent += words * 8;
     }
 
-    /// Records `words` of communication volume that sender-side compaction
-    /// (request dedup, monoid pre-combining, id compression) kept off the
-    /// wire. Purely observational: it feeds [`CostSnapshot::words_saved`]
-    /// and the trace report, never the clock — the savings themselves are
-    /// already realized by the smaller payloads actually sent.
-    pub fn note_words_saved(&mut self, words: u64) {
-        self.snap.words_saved += words;
-    }
-
     /// Records `words` of communication volume eliminated *in flight* by a
     /// combining collective: entries from different origins that merged at
-    /// a store-and-forward hop on this rank before being forwarded. Like
-    /// [`Comm::note_words_saved`], purely observational — it feeds
-    /// [`CostSnapshot::combined_words`] and the trace report, never the
-    /// clock, which already reflects the smaller forwarded payloads.
+    /// a store-and-forward hop on this rank before being forwarded. Purely
+    /// observational — it feeds [`CostSnapshot::combined_words`] and the
+    /// trace report, never the clock, which already reflects the smaller
+    /// forwarded payloads.
     pub fn note_combined_words(&mut self, words: u64) {
         self.snap.combined_words += words;
     }
@@ -408,40 +392,6 @@ impl Comm {
     /// exactly once.
     pub fn note_rerun(&mut self) {
         self.snap.reruns += 1;
-    }
-
-    /// Records `bytes` of payload kept off the wire by a dynamic narrowing
-    /// tier (raw-`u16` or dictionary codes; see [`crate::wire::NarrowTier`]).
-    /// Purely observational — it feeds [`CostSnapshot::narrow_saved_bytes`]
-    /// and the trace report, never the clock, which already reflects the
-    /// narrower payloads actually sent.
-    pub fn note_narrow_saved(&mut self, bytes: u64) {
-        self.snap.narrow_saved_bytes += bytes;
-    }
-
-    /// Installs a narrowing dictionary for the dictionary wire tier,
-    /// stamping it with the next epoch on this rank. Callers install the
-    /// *same* value set on every rank in the same superstep, so epochs
-    /// (install counts) agree across ranks and a stale dictionary is
-    /// caught by the decode-side epoch assert. Returns the installed
-    /// dictionary.
-    pub fn install_narrow_dict(&mut self, values: Vec<u64>) -> Arc<crate::wire::NarrowDict> {
-        self.narrow_epoch += 1;
-        let d = Arc::new(crate::wire::NarrowDict::new(self.narrow_epoch, values));
-        self.narrow_dict = Some(Arc::clone(&d));
-        d
-    }
-
-    /// The currently installed narrowing dictionary, if any.
-    pub fn narrow_dict(&self) -> Option<Arc<crate::wire::NarrowDict>> {
-        self.narrow_dict.clone()
-    }
-
-    /// Drops the installed narrowing dictionary (e.g. after a shortcut
-    /// step rewrites labels, making the dense-rank remap stale for
-    /// tightness even though the value set only shrinks).
-    pub fn invalidate_narrow_dict(&mut self) {
-        self.narrow_dict = None;
     }
 
     /// Takes a recycled scratch buffer (empty `Vec<T>`, capacity
@@ -807,8 +757,6 @@ where
                         snap: CostSnapshot::default(),
                         ops_charged: 0,
                         pool: Rc::new(RefCell::new(BufferPool::default())),
-                        narrow_dict: None,
-                        narrow_epoch: 0,
                         trace: TraceLocal::new(level),
                         sink,
                     };

@@ -144,23 +144,19 @@ pub struct CostSnapshot {
     pub bytes_sent: u64,
     /// Exact payload bytes this rank received.
     pub bytes_received: u64,
-    /// 8-byte words this rank *avoided* sending through sender-side
-    /// compaction (request dedup, monoid pre-combining, id compression).
-    /// Observational only — never contributes to the clock.
+    /// Always 0. Sender-side compaction, which used to record the words
+    /// it kept off the wire here, was removed because it did not pay on
+    /// modeled time; the field stays only so existing readers compile.
     pub words_saved: u64,
     /// 8-byte words eliminated *in flight* by combining collectives:
     /// entries from different origins that merged at a hypercube hop on
     /// this rank before being forwarded. Observational only — the clock
     /// already reflects the smaller forwarded payloads.
     pub combined_words: u64,
-    /// Exact payload bytes this rank avoided sending because a dynamic
-    /// narrowing tier (raw-`u16` or dictionary codes; see
-    /// [`crate::wire::NarrowTier`]) encoded a label stream below its
-    /// legacy width. `bytes_sent` already reflects the narrowed streams;
-    /// this counter records the delta against what the same exchange
-    /// would have cost with `narrow_labels` off. Zero when narrowing is
-    /// disabled, monotone-nonnegative when on (narrow encoders never
-    /// pick a candidate larger than the legacy stream).
+    /// Always 0. Dynamic label-range narrowing, which used to record the
+    /// bytes it kept off the wire here, was removed because it did not
+    /// pay on modeled time; the field stays only so existing readers
+    /// compile.
     pub narrow_saved_bytes: u64,
     /// Full LACC recomputes noted on this rank (the serving layer's epoch
     /// rebuilds; see [`crate::trace::RerunReason`]). The rerun entry point

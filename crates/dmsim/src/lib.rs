@@ -56,7 +56,7 @@ pub mod topology;
 pub mod trace;
 pub mod wire;
 
-pub use collectives::{AllToAll, CombineRoute, FramedBlock};
+pub use collectives::{AllToAll, CombineRoute};
 pub use comm::{
     bytes_of, run_spmd, run_spmd_traced, run_spmd_with_model, words_of, BufferPool, Comm,
     CommHandle, DmsimError, Group, OverlapWindow, PooledBuf,
@@ -67,4 +67,4 @@ pub use trace::{
     EngineKind, RankTrace, RerunReason, Span, SpanKind, SpanRecord, TraceLevel, TraceReport,
     TraceSink,
 };
-pub use wire::{NarrowDict, NarrowSpec, NarrowTier, WireWord};
+pub use wire::WireWord;

@@ -16,16 +16,12 @@
 //! All primitives are bit-identical to their serial counterparts in
 //! [`crate::serial`]; the test module checks this across grid sizes.
 
-use super::compact::{self, NarrowVal};
 use super::dmat::DistMat;
 use super::dvec::{block_range, DistSpVec, DistVec, Distribution, VecLayout};
 use crate::serial::{kernel_pool, CsrMirror, Dcsc};
 use crate::types::Monoid;
 use crate::Vid;
-use dmsim::{
-    bytes_of, words_of, AllToAll, CombineRoute, Comm, CommHandle, FramedBlock, Group, NarrowSpec,
-    PooledBuf, SpanKind, WireWord,
-};
+use dmsim::{AllToAll, CombineRoute, Comm, CommHandle, PooledBuf, SpanKind, WireWord};
 use lacc_graph::Idx;
 use std::collections::HashMap;
 
@@ -52,51 +48,19 @@ pub struct DistOpts {
     /// below it, the SpMSpV per-entry kernel. Mirrors the internal dispatch
     /// of the paper's `GrB_mxv`.
     pub spmv_threshold: f64,
-    /// Sender-side request dedup in [`dist_extract`]: each per-destination
-    /// bucket carries every unique id once, and each unique reply is
-    /// scattered back to all originating request positions. Bit-identical
-    /// to the naive exchange (grandparent lookups `f[f[v]]` repeat the
-    /// same parent once per child, so this collapses most of LACC's
-    /// extract traffic).
-    pub dedup_requests: bool,
-    /// Sender-side pre-combining in [`dist_assign`]: per-destination
-    /// `(id, value)` updates folded through the op's monoid before the
-    /// exchange, so each target index crosses the wire at most once.
-    /// Bit-identical for associative monoids (pre-combining one sender's
-    /// bucket only re-associates — never reorders — the receiver's fold).
-    pub combine_assigns: bool,
-    /// Compressed id streams: sorted per-bucket id lists cross the wire
-    /// delta-varint- or bitmap-encoded ([`super::compact`]) as local
-    /// offsets on the destination rank. The exchange sends the encoded
-    /// bytes themselves, so modeled time reflects the compressed size.
-    pub compress_ids: bool,
-    /// Unique-offsets-per-span density at or above which a compressed
-    /// bucket may switch from delta-varint to bitmap encoding (the encoder
-    /// still requires the bitmap to actually be smaller).
-    pub compress_bitmap_density: f64,
-    /// Request buckets at least this long dedup through a hash set (one
-    /// linear pass plus a sort of the unique ids); shorter buckets
-    /// sort-and-dedup in place.
-    pub dedup_hash_threshold: usize,
     /// In-flight combining: [`dist_extract`] routes request ids through
     /// [`Comm::combining_requests`] (replies scattered back along the
     /// recorded reverse route) and [`dist_assign`] merges updates through
     /// [`Comm::reduce_scatter_by_key`], so duplicates issued by
     /// *different* ranks collapse at the hypercube hop where their routes
-    /// meet — traffic sender-side compaction cannot see. Bit-identical
-    /// for the commutative monoids LACC uses (in-flight merging may
-    /// reorder the fold across origins).
+    /// meet. Bit-identical for the commutative monoids LACC uses
+    /// (in-flight merging may reorder the fold across origins).
     pub combine_in_flight: bool,
     /// Fuses starcheck's two planned extracts (grandparent, then parent
     /// starness) into one combining exchange: the request route is paid
     /// for once and replayed for both reply phases. Requires
     /// `combine_in_flight`; ignored without it.
     pub fuse_starcheck: bool,
-    /// Run-length encoding for the *value* halves of extract replies and
-    /// assign payloads ([`super::compact::encode_values`]) — labels near
-    /// convergence are heavily repeated, so reply streams collapse to a
-    /// few runs. Applies to both the plain and the combining reply paths.
-    pub compress_values: bool,
     /// Non-blocking execution of the hot-path exchanges. Engines post
     /// `mxv` through [`dist_mxv_start`] / [`dist_mxv_dense_start`] (or an
     /// extract through [`dist_extract_start`]) and collect the result with
@@ -108,65 +72,22 @@ pub struct DistOpts {
     /// independent local compute — so labels, iteration counts and
     /// `words_sent` are bit-identical with the flag on or off.
     pub overlap: bool,
-    /// Lets the adaptive [`dist_mxv`] dispatch account for overlap credit
-    /// when choosing SpMV vs SpMSpV: with `overlap` on, SpMV's bulk
-    /// column allgather is largely hideable behind its streaming local
-    /// multiply (`hideable_s`), so the effective fill threshold drops (see
-    /// [`spmv_wins`]). Off by default — unlike every other lever this one
-    /// changes the *message pattern* with `overlap`, which would break the
-    /// overlap-invariance contract (`words_sent` identical on/off) the
-    /// proptests and bench assert; opt in where that contract is not
-    /// relied on.
-    pub overlap_dispatch: bool,
-    /// Dynamic label-range narrowing: each engine iteration probes the
-    /// active label range/cardinality (piggybacked on the convergence
-    /// allreduce) and, when the labels fit, re-encodes the exchange
-    /// streams as raw `u16` or dictionary codes ([`dmsim::NarrowTier`]).
-    /// Decode always widens back to the index type, so labels and
-    /// iteration counts are bit-identical on/off; only bytes shrink
-    /// ([`dmsim::CostSnapshot::narrow_saved_bytes`]).
-    pub narrow_labels: bool,
-    /// The raw-`u16` tier activates when every live label word is below
-    /// this bound (default `2^16`, the widest the tier can represent;
-    /// tests lower it to force the dictionary tier on small graphs).
-    pub narrow_u16_max: u64,
-    /// The dictionary tier builds/keeps a dense-rank dictionary when the
-    /// global surviving-label count is below this bound (default `2^16`;
-    /// a build-cost heuristic — dictionary codes themselves are varint,
-    /// not limited to 16 bits).
-    pub narrow_dict_max: u64,
-    /// The tier selected for the *current* iteration's exchanges. Runtime
-    /// state set by the engine's probe (see `lacc_core`'s narrow planner),
-    /// not a user-facing knob: leave it at the default
-    /// ([`dmsim::NarrowSpec::NATIVE`]) when calling primitives directly.
-    pub narrow: dmsim::NarrowSpec,
 }
 
 impl Default for DistOpts {
     fn default() -> Self {
         // The optimized LACC configuration: sparse all-to-all (hypercube
-        // metadata exchange), hot-rank broadcasts, and the full
-        // sender-side compaction stack.
+        // metadata exchange), hot-rank broadcasts, in-flight combining with
+        // the fused starcheck exchange, and compute/communication overlap.
         DistOpts {
             alltoall: AllToAll::Sparse,
             hot_bcast: true,
             hot_threshold: 4.0,
             kernel_threads: 1,
             spmv_threshold: 0.5,
-            dedup_requests: true,
-            combine_assigns: true,
-            compress_ids: true,
-            compress_bitmap_density: 1.0 / 16.0,
-            dedup_hash_threshold: 2048,
             combine_in_flight: true,
             fuse_starcheck: true,
-            compress_values: true,
             overlap: true,
-            overlap_dispatch: false,
-            narrow_labels: true,
-            narrow_u16_max: 1 << 16,
-            narrow_dict_max: 1 << 16,
-            narrow: dmsim::NarrowSpec::NATIVE,
         }
     }
 }
@@ -174,175 +95,25 @@ impl Default for DistOpts {
 impl DistOpts {
     /// The unoptimized baseline: MPI_Alltoallv-style pairwise exchange, no
     /// broadcast fallback — what §V-B says stopped scaling past 1024
-    /// ranks — and no sender-side compaction.
+    /// ranks — no in-flight combining, and strictly blocking exchanges.
     pub fn naive() -> Self {
         DistOpts {
             alltoall: AllToAll::Pairwise,
             hot_bcast: false,
             hot_threshold: f64::INFINITY,
-            dedup_requests: false,
-            combine_assigns: false,
-            compress_ids: false,
             combine_in_flight: false,
             fuse_starcheck: false,
-            compress_values: false,
             overlap: false,
-            narrow_labels: false,
             ..DistOpts::default()
         }
     }
 
     /// The fully optimized configuration (an explicit alias of `Default`):
-    /// sparse all-to-all, hot-rank broadcasts, all sender-side compaction
-    /// flags, and compute/communication overlap on.
+    /// sparse all-to-all, hot-rank broadcasts, in-flight combining, and
+    /// compute/communication overlap on.
     pub fn optimized() -> Self {
         DistOpts::default()
     }
-}
-
-/// Whether the adaptive [`dist_mxv`] dispatch takes the SpMV (dense,
-/// column-scan) execution at this measured global fill.
-///
-/// The base rule is the paper's: SpMV at `fill ≥ spmv_threshold`. With
-/// both [`DistOpts::overlap`] and [`DistOpts::overlap_dispatch`] on, the
-/// effective threshold is halved: SpMV's one bulk column allgather is
-/// posted ahead of a long streaming multiply, so most of its exchange
-/// cost is hideable (`hideable_s` ≈ the β transfer), while SpMSpV's
-/// smaller, irregular exchanges leave little compute to hide behind —
-/// overlap credit shifts the break-even point toward SpMV.
-pub fn spmv_wins(fill: f64, opts: &DistOpts) -> bool {
-    let threshold = if opts.overlap && opts.overlap_dispatch {
-        opts.spmv_threshold * 0.5
-    } else {
-        opts.spmv_threshold
-    };
-    fill >= threshold
-}
-
-/// Allgathers each rank's value chunk, re-encoding the stream under an
-/// active narrowing spec (raw `Vec<T>` otherwise — byte-identical to the
-/// legacy exchange). The framed ring charges β at the legacy chunk word
-/// count, so `words_sent` and the modeled clock are identical with
-/// narrowing on or off; savings (charged against the raw chunk bytes,
-/// once per ring hop the block travels) show up only in `bytes_sent`.
-/// Decoding happens inside the posted operation, so the handle yields
-/// per-rank chunks either way.
-fn allgather_chunks_narrow<T>(
-    comm: &mut Comm,
-    group: &Group,
-    local: Vec<T>,
-    opts: &DistOpts,
-) -> CommHandle<Vec<Vec<T>>>
-where
-    T: NarrowVal,
-{
-    let spec = opts.narrow;
-    if !spec.active() {
-        return comm.post(opts.overlap, move |c| c.allgatherv(group, local));
-    }
-    let hops = group.size().saturating_sub(1) as u64;
-    comm.post(opts.overlap, move |c| {
-        let dict = c.narrow_dict();
-        let bytes = T::encode_chunk(&local, spec, dict.as_deref());
-        c.note_narrow_saved(bytes_of::<T>(local.len()).saturating_sub(bytes.len() as u64) * hops);
-        c.charge_compute(local.len() as u64 + 1);
-        let gathered = c.allgatherv_framed(
-            group,
-            FramedBlock {
-                legacy_words: words_of::<T>(local.len()),
-                items: local.len() as u64,
-                bytes,
-            },
-        );
-        gathered
-            .into_iter()
-            .map(|b| T::decode_chunk(&b, dict.as_deref()))
-            .collect()
-    })
-}
-
-/// [`allgather_chunks_narrow`] over sorted sparse entries: each rank's
-/// `(id, value)` list ships as one frame — varint count, delta-encoded id
-/// stream, narrowed value stream — under an active spec, or as the legacy
-/// raw tuple vector otherwise. Same framed-ring charging contract as
-/// [`allgather_chunks_narrow`].
-fn allgather_entries_narrow<T, I>(
-    comm: &mut Comm,
-    group: &Group,
-    entries: Vec<(I, T)>,
-    opts: &DistOpts,
-) -> CommHandle<Vec<Vec<(I, T)>>>
-where
-    T: NarrowVal,
-    I: Idx + WireWord,
-{
-    let spec = opts.narrow;
-    if !spec.active() {
-        return comm.post(opts.overlap, move |c| c.allgatherv(group, entries));
-    }
-    let hops = group.size().saturating_sub(1) as u64;
-    comm.post(opts.overlap, move |c| {
-        let dict = c.narrow_dict();
-        let frame = encode_entry_frame(&entries, spec, dict.as_deref());
-        c.note_narrow_saved(
-            bytes_of::<(I, T)>(entries.len()).saturating_sub(frame.len() as u64) * hops,
-        );
-        c.charge_compute(entries.len() as u64 + 1);
-        let gathered = c.allgatherv_framed(
-            group,
-            FramedBlock {
-                legacy_words: words_of::<(I, T)>(entries.len()),
-                items: entries.len() as u64,
-                bytes: frame,
-            },
-        );
-        gathered
-            .into_iter()
-            .map(|b| decode_entry_frame::<T, I>(&b, dict.as_deref()))
-            .collect()
-    })
-}
-
-/// One narrowed sparse-entry frame: varint id-stream length, the
-/// delta-encoded (possibly dictionary-ranked) id stream, then the
-/// narrowed value stream. Requires ids sorted ascending.
-fn encode_entry_frame<T, I>(
-    entries: &[(I, T)],
-    spec: NarrowSpec,
-    dict: Option<&dmsim::NarrowDict>,
-) -> Vec<u8>
-where
-    T: NarrowVal,
-    I: Idx + WireWord,
-{
-    debug_assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0), "ids sorted");
-    let ids: Vec<I> = entries.iter().map(|&(g, _)| g).collect();
-    let (id_bytes, _) = dmsim::wire::encode_keys_narrow::<I>(&ids, spec, dict);
-    let vals: Vec<T> = entries.iter().map(|&(_, v)| v).collect();
-    let val_bytes = T::encode_chunk(&vals, spec, dict);
-    let mut frame = Vec::with_capacity(10 + id_bytes.len() + val_bytes.len());
-    dmsim::wire::push_varint(&mut frame, id_bytes.len() as u64);
-    frame.extend_from_slice(&id_bytes);
-    frame.extend_from_slice(&val_bytes);
-    frame
-}
-
-/// Decodes a frame produced by [`encode_entry_frame`].
-fn decode_entry_frame<T, I>(bytes: &[u8], dict: Option<&dmsim::NarrowDict>) -> Vec<(I, T)>
-where
-    T: NarrowVal,
-    I: Idx + WireWord,
-{
-    if bytes.is_empty() {
-        // A sparse exchange slot whose sender was gated off (items == 0).
-        return Vec::new();
-    }
-    let mut pos = 0usize;
-    let id_len = dmsim::wire::read_varint(bytes, &mut pos) as usize;
-    let ids = dmsim::wire::decode_keys_narrow::<I>(&bytes[pos..pos + id_len], dict);
-    let vals = T::decode_chunk(&bytes[pos + id_len..], dict);
-    debug_assert_eq!(ids.len(), vals.len(), "id/value frame halves misaligned");
-    ids.into_iter().zip(vals).collect()
 }
 
 /// A mask aligned with the output vector's distribution.
@@ -369,38 +140,19 @@ impl DistMask<'_> {
 /// Statistics from one [`dist_extract`] call (Figure 3's data).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExtractStats {
-    /// Requests this rank received and answered point-to-point (after
-    /// senders deduped, when [`DistOpts::dedup_requests`] is on).
+    /// Requests this rank received and answered point-to-point (unique
+    /// ids only on the in-flight combining path, which merges duplicates).
     pub received_requests: u64,
     /// Whether this rank took the broadcast fallback.
     pub did_broadcast: bool,
-    /// 8-byte words this rank kept off the wire by request dedup (ids out
-    /// plus replies back, relative to the naive all-to-all; hot-broadcast
-    /// buckets excluded). Zero when `dedup_requests` is off.
-    pub dedup_saved_words: u64,
-    /// Words saved by delta/bitmap encoding of the request id streams.
-    /// Zero when `compress_ids` is off.
-    pub compress_saved_words: u64,
-    /// Words saved by run-length encoding the reply value streams. Zero
-    /// when `compress_values` is off.
-    pub value_saved_words: u64,
 }
 
 /// Statistics from one [`dist_assign`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AssignStats {
-    /// Updates this rank received (after senders pre-combined, when
-    /// [`DistOpts::combine_assigns`] is on).
+    /// Updates this rank received (merged per target on the in-flight
+    /// combining path).
     pub received_updates: u64,
-    /// 8-byte words this rank kept off the wire by monoid pre-combining.
-    /// Zero when `combine_assigns` is off.
-    pub combine_saved_words: u64,
-    /// Words saved by id compression of the update exchange. Zero when
-    /// `compress_ids` is off.
-    pub compress_saved_words: u64,
-    /// Words saved by run-length encoding the update value streams. Zero
-    /// when `compress_values` is off.
-    pub value_saved_words: u64,
 }
 
 /// Scatters locally produced `(global row, value)` results to their layout
@@ -743,7 +495,7 @@ fn spmspv_reduce_and_transpose<T, M, I>(
     opts: &DistOpts,
 ) -> DistSpVec<T, I>
 where
-    T: NarrowVal,
+    T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -762,47 +514,17 @@ where
         buckets[c - i * pc].push((I::from_usize(g), acc[lr]));
     }
     let buckets: Vec<Vec<(I, T)>> = buckets.into_iter().map(PooledBuf::detach).collect();
-    // Under an active narrowing spec the per-destination buckets ship as
-    // entry frames (ids are pushed in sorted `touched` order, so each
-    // bucket's id stream is monotone); the legacy tuple exchange is
-    // byte-identical with narrowing off. (The later transpose exchange
-    // stays raw: its HashMap-order entries have no sorted id stream.)
     let mut merged: HashMap<I, T> = HashMap::new();
     let mut merge_ops = 0u64;
-    if opts.narrow.active() {
-        let dict = comm.narrow_dict();
-        let mut frames: Vec<FramedBlock> = Vec::with_capacity(pc);
-        for b in &buckets {
-            let frame = encode_entry_frame(b, opts.narrow, dict.as_deref());
-            comm.note_narrow_saved(bytes_of::<(I, T)>(b.len()).saturating_sub(frame.len() as u64));
-            frames.push(FramedBlock {
-                legacy_words: words_of::<(I, T)>(b.len()),
-                items: b.len() as u64,
-                bytes: frame,
-            });
-        }
-        comm.charge_compute(buckets.iter().map(|b| b.len() as u64).sum::<u64>() + 1);
-        for bytes in comm.alltoallv_framed(&row_group, frames, opts.alltoall) {
-            let part = decode_entry_frame::<T, I>(&bytes, dict.as_deref());
-            merge_ops += part.len() as u64;
-            for (g, v) in part {
-                merged
-                    .entry(g)
-                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                    .or_insert(v);
-            }
-        }
-    } else {
-        let incoming = comm.alltoallv(&row_group, buckets, opts.alltoall);
-        for part in incoming {
-            let part = comm.adopt_buf(part);
-            merge_ops += part.len() as u64;
-            for &(g, v) in part.iter() {
-                merged
-                    .entry(g)
-                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                    .or_insert(v);
-            }
+    let incoming = comm.alltoallv(&row_group, buckets, opts.alltoall);
+    for part in incoming {
+        let part = comm.adopt_buf(part);
+        merge_ops += part.len() as u64;
+        for &(g, v) in part.iter() {
+            merged
+                .entry(g)
+                .and_modify(|acc| *acc = monoid.combine(*acc, v))
+                .or_insert(v);
         }
     }
     comm.charge_compute(merge_ops);
@@ -837,7 +559,7 @@ pub fn dist_mxv_dense<T, M, I>(
     opts: &DistOpts,
 ) -> DistSpVec<T, I>
 where
-    T: NarrowVal,
+    T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -858,7 +580,7 @@ pub fn dist_mxv_dense_start<T, M, I>(
     opts: &DistOpts,
 ) -> CommHandle<DistSpVec<T, I>>
 where
-    T: NarrowVal,
+    T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -879,7 +601,7 @@ fn mxv_dense_impl<T, M, I>(
     opts: &DistOpts,
 ) -> DistSpVec<T, I>
 where
-    T: NarrowVal,
+    T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -897,10 +619,11 @@ where
     // column (group index within col_group equals grid row, so blocks
     // concatenate in global order). Posted non-blocking: the multiply
     // consumes gathered chunks as they stream in, so its charge lands
-    // between the post and the wait and hides the transfer tail. Under an
-    // active narrowing spec the chunks ship re-encoded (u16/dictionary).
+    // between the post and the wait and hides the transfer tail.
     let col_group = grid.col_group(comm);
-    let gh = allgather_chunks_narrow(comm, &col_group, x.local().to_vec(), opts);
+    let gh = comm.post(opts.overlap, |c| {
+        c.allgatherv(&col_group, x.local().to_vec())
+    });
     let x_block: Vec<T> = gh.peek().concat();
     debug_assert_eq!(x_block.len(), a.col_range().1 - a.col_range().0);
 
@@ -976,7 +699,7 @@ pub fn dist_mxv_sparse<T, M, I>(
     opts: &DistOpts,
 ) -> DistSpVec<T, I>
 where
-    T: NarrowVal,
+    T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -995,7 +718,7 @@ fn mxv_sparse_impl<T, M, I>(
     opts: &DistOpts,
 ) -> DistSpVec<T, I>
 where
-    T: NarrowVal,
+    T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -1008,10 +731,10 @@ where
 
     // Phase 1: sparse allgather of x entries within the processor column,
     // posted non-blocking so the per-entry multiply streams behind it.
-    // Under an active narrowing spec each rank's entries ship as one
-    // id-stream + narrowed-value frame.
     let col_group = grid.col_group(comm);
-    let gh = allgather_entries_narrow(comm, &col_group, x.entries().to_vec(), opts);
+    let gh = comm.post(opts.overlap, |c| {
+        c.allgatherv(&col_group, x.entries().to_vec())
+    });
     let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
 
     // Phase 2: local multiply through the DCSC block (owner-partitioned
@@ -1052,7 +775,7 @@ pub fn dist_mxv<T, M, I>(
     opts: &DistOpts,
 ) -> DistSpVec<T, I>
 where
-    T: NarrowVal,
+    T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -1084,7 +807,7 @@ pub fn dist_mxv_start<T, M, I>(
     opts: &DistOpts,
 ) -> CommHandle<DistSpVec<T, I>>
 where
-    T: NarrowVal,
+    T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -1105,7 +828,7 @@ fn mxv_adaptive_impl<T, M, I>(
     opts: &DistOpts,
 ) -> DistSpVec<T, I>
 where
-    T: NarrowVal,
+    T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -1117,7 +840,7 @@ where
     } else {
         x.global_nvals(comm) as f64 / n as f64
     };
-    if layout.distribution() == Distribution::Cyclic || !spmv_wins(fill, opts) {
+    if layout.distribution() == Distribution::Cyclic || fill < opts.spmv_threshold {
         return mxv_sparse_impl(comm, a, x, mask, monoid, opts);
     }
 
@@ -1125,7 +848,9 @@ where
     // and block multiply stream behind the transfer), then densify.
     let grid = a.grid();
     let col_group = grid.col_group(comm);
-    let gh = allgather_entries_narrow(comm, &col_group, x.entries().to_vec(), opts);
+    let gh = comm.post(opts.overlap, |c| {
+        c.allgatherv(&col_group, x.entries().to_vec())
+    });
     let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
     let (cs, ce) = a.col_range();
     let w = ce - cs;
@@ -1160,23 +885,15 @@ where
 /// back-to-back extracts with the identical grandparent request slice, so
 /// the plan is built once).
 ///
-/// With [`DistOpts::dedup_requests`] each per-owner wire list carries
-/// every unique id once (sorted); `scatter` routes each reply back to all
-/// of its originating request positions. With only
-/// [`DistOpts::compress_ids`] the lists are sorted but keep duplicates;
-/// with neither flag they preserve request order — every combination is
-/// bit-identical to the unplanned exchange.
+/// Each per-owner wire list keeps request order; `positions` routes each
+/// reply back to its originating request position.
 pub struct RequestPlan<I: Idx = Vid> {
     layout: VecLayout,
     n_requests: usize,
     /// Per-owner ids as they will cross the wire, at index width `I`.
     wire_ids: Vec<Vec<I>>,
-    /// Per-owner `(index into wire_ids[o], original request position)`.
-    scatter: Vec<Vec<(u32, u32)>>,
-    /// Wire lists are sorted (dedup or compression was requested).
-    sorted: bool,
-    /// Wire lists are duplicate-free.
-    deduped: bool,
+    /// Per-owner original request position of each `wire_ids` entry.
+    positions: Vec<Vec<u32>>,
 }
 
 impl<I: Idx> RequestPlan<I> {
@@ -1189,99 +906,30 @@ impl<I: Idx> RequestPlan<I> {
     pub fn n_requests(&self) -> usize {
         self.n_requests
     }
-
-    /// Duplicate request ids this rank will *not* send, per owner.
-    fn removed(&self, o: usize) -> usize {
-        self.scatter[o].len() - self.wire_ids[o].len()
-    }
-
-    /// Total duplicate request ids collapsed by dedup on this rank.
-    pub fn duplicates_removed(&self) -> usize {
-        (0..self.wire_ids.len()).map(|o| self.removed(o)).sum()
-    }
 }
 
-/// Buckets `requests` by owning rank under `layout` and (per
-/// [`DistOpts::dedup_requests`] / [`DistOpts::compress_ids`]) sorts and
-/// dedups each bucket, recording the reply scatter. Charged as local
-/// compute; no communication happens here.
-pub fn plan_requests<I: Idx>(
-    comm: &mut Comm,
-    layout: VecLayout,
-    requests: &[I],
-    opts: &DistOpts,
-) -> RequestPlan<I> {
-    let p = comm.size();
+/// Buckets `requests` by owning rank under `layout`, recording each
+/// request's position for the reply scatter. Charged as local compute; no
+/// communication happens here.
+pub fn plan_requests<I: Idx>(comm: &mut Comm, layout: VecLayout, requests: &[I]) -> RequestPlan<I> {
     assert!(
         requests.len() < u32::MAX as usize,
         "request list too long for the plan's u32 positions"
     );
-    let sorted = opts.dedup_requests || opts.compress_ids;
-    let mut pairs = layout.bucket_by_owner(
+    let pairs = layout.bucket_by_owner(
         comm,
         requests.iter().enumerate().map(|(pos, &g)| (g, pos as u32)),
     );
-    let mut wire_ids: Vec<Vec<I>> = Vec::with_capacity(p);
-    let mut scatter: Vec<Vec<(u32, u32)>> = Vec::with_capacity(p);
-    let mut ops = requests.len() as u64 + 1;
-    for bucket in pairs.iter_mut() {
-        let k = bucket.len();
-        if !sorted {
-            // Naive path: request order on the wire, sequential scatter.
-            wire_ids.push(bucket.iter().map(|&(g, _)| g).collect());
-            scatter.push(
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &(_, pos))| (w as u32, pos))
-                    .collect(),
-            );
-            continue;
-        }
-        if opts.dedup_requests && k >= opts.dedup_hash_threshold {
-            // Hash path: one linear pass collects unique ids, then only
-            // those are sorted — wins when duplication is heavy.
-            let mut uniq: HashMap<I, u32> = HashMap::with_capacity(k / 4);
-            for &(g, _) in bucket.iter() {
-                uniq.entry(g).or_insert(0);
-            }
-            let mut ids: Vec<I> = uniq.keys().copied().collect();
-            ids.sort_unstable();
-            for (w, &g) in ids.iter().enumerate() {
-                *uniq.get_mut(&g).expect("id just inserted") = w as u32;
-            }
-            let sc: Vec<(u32, u32)> = bucket.iter().map(|&(g, pos)| (uniq[&g], pos)).collect();
-            ops += 2 * k as u64 + ids.len() as u64;
-            wire_ids.push(ids);
-            scatter.push(sc);
-        } else {
-            // Sort path: sort the (id, position) pairs and walk the runs,
-            // collapsing equal ids only when dedup is on (compression
-            // alone needs sorted order but keeps duplicates).
-            let mut b: Vec<(I, u32)> = bucket.to_vec();
-            b.sort_unstable_by_key(|&(g, _)| g);
-            let mut ids: Vec<I> = Vec::with_capacity(k);
-            let mut sc: Vec<(u32, u32)> = Vec::with_capacity(k);
-            for (g, pos) in b {
-                let collapse = opts.dedup_requests && ids.last() == Some(&g);
-                if !collapse {
-                    ids.push(g);
-                }
-                sc.push((ids.len() as u32 - 1, pos));
-            }
-            ops += 2 * k as u64;
-            wire_ids.push(ids);
-            scatter.push(sc);
-        }
-    }
-    comm.charge_compute(ops);
+    let (wire_ids, positions) = pairs
+        .iter()
+        .map(|bucket| bucket.iter().copied().unzip())
+        .unzip();
+    comm.charge_compute(requests.len() as u64 + 1);
     RequestPlan {
         layout,
         n_requests: requests.len(),
         wire_ids,
-        scatter,
-        sorted,
-        deduped: opts.dedup_requests,
+        positions,
     }
 }
 
@@ -1292,8 +940,6 @@ pub fn plan_requests<I: Idx>(
 /// allreduced; owners whose incoming load exceeds `hot_threshold ×` their
 /// chunk size broadcast their chunk instead of answering point-to-point
 /// (then drop out of the all-to-all, which the sparse algorithm exploits).
-/// On top of that, the sender-side compaction flags in [`DistOpts`] dedup
-/// and compress what the all-to-all carries.
 pub fn dist_extract<T, I>(
     comm: &mut Comm,
     src: &DistVec<T>,
@@ -1301,11 +947,11 @@ pub fn dist_extract<T, I>(
     opts: &DistOpts,
 ) -> (Vec<T>, ExtractStats)
 where
-    T: Copy + Send + WireWord + 'static,
+    T: Copy + Send + 'static,
     I: Idx + WireWord,
 {
     let span = comm.span_open(SpanKind::Extract);
-    let plan = plan_requests(comm, src.layout(), requests, opts);
+    let plan = plan_requests(comm, src.layout(), requests);
     let out = extract_impl(comm, src, &plan, opts);
     comm.span_close(span);
     out
@@ -1323,12 +969,12 @@ pub fn dist_extract_start<T, I>(
     opts: &DistOpts,
 ) -> CommHandle<(Vec<T>, ExtractStats)>
 where
-    T: Copy + Send + WireWord + 'static,
+    T: Copy + Send + 'static,
     I: Idx + WireWord,
 {
     comm.post(opts.overlap, |c| {
         let span = c.span_open(SpanKind::Extract);
-        let plan = plan_requests(c, src.layout(), requests, opts);
+        let plan = plan_requests(c, src.layout(), requests);
         let out = extract_impl(c, src, &plan, opts);
         c.span_close(span);
         out
@@ -1345,13 +991,35 @@ pub fn dist_extract_planned<T, I>(
     opts: &DistOpts,
 ) -> (Vec<T>, ExtractStats)
 where
-    T: Copy + Send + WireWord + 'static,
+    T: Copy + Send + 'static,
     I: Idx + WireWord,
 {
     let span = comm.span_open(SpanKind::Extract);
     let out = extract_impl(comm, src, plan, opts);
     comm.span_close(span);
     out
+}
+
+/// Answers every planned request from per-owner `(key, value)` replies
+/// sorted by key (the combining reply format), skipping hot owners whose
+/// requests were already served from their broadcast chunk.
+fn scatter_keyed_replies<T: Copy, I: Idx>(
+    plan: &RequestPlan<I>,
+    reply: &[Vec<(I, T)>],
+    hot: &[bool],
+    results: &mut [Option<T>],
+) {
+    for (o, pairs) in reply.iter().enumerate() {
+        if hot[o] {
+            continue;
+        }
+        for (&key, &pos) in plan.wire_ids[o].iter().zip(&plan.positions[o]) {
+            let i = pairs
+                .binary_search_by_key(&key, |&(k, _)| k)
+                .expect("reply for every requested id");
+            results[pos as usize] = Some(pairs[i].1);
+        }
+    }
 }
 
 fn extract_impl<T, I>(
@@ -1361,7 +1029,7 @@ fn extract_impl<T, I>(
     opts: &DistOpts,
 ) -> (Vec<T>, ExtractStats)
 where
-    T: Copy + Send + WireWord + 'static,
+    T: Copy + Send + 'static,
     I: Idx + WireWord,
 {
     let layout = src.layout();
@@ -1373,8 +1041,7 @@ where
     let mut results: Vec<Option<T>> = vec![None; plan.n_requests];
     let mut stats = ExtractStats::default();
 
-    // Detect hot owners by global request totals — counted post-dedup,
-    // i.e. by the traffic actually offered to each owner.
+    // Detect hot owners by global request totals.
     let hot: Vec<bool> = if opts.hot_bcast && p > 1 {
         let my_counts: Vec<u64> = plan.wire_ids.iter().map(|v| v.len() as u64).collect();
         let totals = comm.allreduce_counted(&world, my_counts, p as u64, |a, b| {
@@ -1396,42 +1063,32 @@ where
         if me == o {
             stats.did_broadcast = true;
         }
-        for &(w, pos) in &plan.scatter[o] {
-            results[pos as usize] =
-                Some(chunk[layout.offset_of(o, plan.wire_ids[o][w as usize].idx())]);
+        for (&g, &pos) in plan.wire_ids[o].iter().zip(&plan.positions[o]) {
+            results[pos as usize] = Some(chunk[layout.offset_of(o, g.idx())]);
         }
-        comm.charge_compute(plan.scatter[o].len() as u64 + 1);
+        comm.charge_compute(plan.positions[o].len() as u64 + 1);
     }
 
-    // Dedup savings relative to the naive exchange: every collapsed
-    // duplicate would have crossed the wire twice (id out, reply back) —
-    // charged at the narrow id width actually on the wire.
-    for (o, &is_hot) in hot.iter().enumerate() {
-        if is_hot {
-            continue;
-        }
-        let removed = plan.removed(o);
-        stats.dedup_saved_words += words_of::<I>(removed) + words_of::<T>(removed);
-    }
+    // The remaining requests go to their owners; hot owners get empty
+    // buckets.
+    let send: Vec<Vec<I>> = (0..p)
+        .map(|o| {
+            if hot[o] {
+                Vec::new()
+            } else {
+                plan.wire_ids[o].clone()
+            }
+        })
+        .collect();
 
     // In-flight combining: request ids ride the combining hypercube as
-    // delta-encoded key streams, merging cross-rank duplicates at the hop
-    // where their routes first meet; replies scatter back along the
-    // recorded reverse route. Keys stay at the narrow index width `I` —
-    // the delta streams encode identically, but the pairwise fallbacks
-    // and reply tuples are charged at `I`'s true size. Hot owners keep
-    // the broadcast fallback and contribute empty key buckets.
+    // delta-encoded key streams, merging duplicates at the hop where
+    // their routes first meet; replies scatter back along the recorded
+    // reverse route. Keys stay at the narrow index width `I` — the delta
+    // streams encode identically, but the pairwise fallbacks and reply
+    // tuples are charged at `I`'s true size.
     if opts.combine_in_flight {
-        let key_bufs: Vec<Vec<I>> = (0..p)
-            .map(|o| {
-                if hot[o] {
-                    Vec::new()
-                } else {
-                    plan.wire_ids[o].clone()
-                }
-            })
-            .collect();
-        let route = comm.combining_requests_narrow(&world, key_bufs, opts.narrow);
+        let route = comm.combining_requests(&world, send);
         stats.received_requests = route.delivered_keys().len() as u64;
         let values: Vec<T> = route
             .delivered_keys()
@@ -1439,26 +1096,10 @@ where
             .map(|&k| src.get_local(k.idx()))
             .collect();
         comm.charge_compute(stats.received_requests + 1);
-        comm.note_words_saved(stats.dedup_saved_words);
-        let reply = comm.combining_replies_narrow(
-            &world,
-            &route,
-            &values,
-            opts.compress_values,
-            opts.narrow,
-        );
-        for (o, pairs) in reply.iter().enumerate() {
-            if hot[o] {
-                continue;
-            }
-            for &(w, pos) in &plan.scatter[o] {
-                let key = plan.wire_ids[o][w as usize];
-                let i = pairs
-                    .binary_search_by_key(&key, |&(k, _)| k)
-                    .expect("reply for every requested id");
-                results[pos as usize] = Some(pairs[i].1);
-            }
-            comm.charge_compute(plan.scatter[o].len() as u64 + 1);
+        let reply = comm.combining_replies(&world, &route, &values);
+        scatter_keyed_replies(plan, &reply, &hot, &mut results);
+        for o in (0..p).filter(|&o| !hot[o]) {
+            comm.charge_compute(plan.positions[o].len() as u64 + 1);
         }
         return (
             results
@@ -1469,101 +1110,25 @@ where
         );
     }
 
-    // Remaining requests go through the all-to-all — as raw id words, or
-    // as delta/bitmap-encoded local offsets when compression is on (the
-    // owner's offsets are monotone in the global id under both layouts,
-    // and serving replies indexes the local slice directly).
-    let compress = opts.compress_ids && plan.sorted;
-    let replies: Vec<Vec<T>> = if compress {
-        let mut send: Vec<Vec<u8>> = Vec::with_capacity(p);
-        for (o, &is_hot) in hot.iter().enumerate() {
-            if is_hot || plan.wire_ids[o].is_empty() {
-                send.push(Vec::new());
-                continue;
-            }
-            let offs: Vec<usize> = plan.wire_ids[o]
-                .iter()
-                .map(|&g| layout.offset_of(o, g.idx()))
-                .collect();
-            let enc = compact::encode_offsets(&offs, plan.deduped, opts.compress_bitmap_density);
-            stats.compress_saved_words +=
-                words_of::<I>(offs.len()).saturating_sub(words_of::<u8>(enc.len()));
-            send.push(enc);
-        }
-        comm.charge_compute(plan.wire_ids.iter().map(|v| v.len() as u64).sum::<u64>() + 1);
-        let incoming = comm.alltoallv(&world, send, opts.alltoall);
-        incoming
-            .into_iter()
-            .map(|bytes| {
-                let bytes = comm.adopt_buf(bytes);
-                let offs = compact::decode_offsets(&bytes);
-                stats.received_requests += offs.len() as u64;
-                offs.iter().map(|&off| src.local()[off]).collect()
-            })
-            .collect()
-    } else {
-        let send: Vec<Vec<I>> = (0..p)
-            .map(|o| {
-                if hot[o] {
-                    Vec::new()
-                } else {
-                    plan.wire_ids[o].clone()
-                }
-            })
-            .collect();
-        let incoming = comm.alltoallv(&world, send, opts.alltoall);
-        incoming
-            .into_iter()
-            .map(|ids| {
-                // Adopt the id list so its allocation recycles after the
-                // reply is built.
-                let ids = comm.adopt_buf(ids);
-                stats.received_requests += ids.len() as u64;
-                ids.iter().map(|&g| src.get_local(g.idx())).collect()
-            })
-            .collect()
-    };
+    let incoming = comm.alltoallv(&world, send, opts.alltoall);
+    let replies: Vec<Vec<T>> = incoming
+        .into_iter()
+        .map(|ids| {
+            // Adopt the id list so its allocation recycles after the
+            // reply is built.
+            let ids = comm.adopt_buf(ids);
+            stats.received_requests += ids.len() as u64;
+            ids.iter().map(|&g| src.get_local(g.idx())).collect()
+        })
+        .collect();
     comm.charge_compute(stats.received_requests + 1);
-    // Reply values go back raw, or run-length encoded when value
-    // compression is on (near convergence most replies repeat the same
-    // few labels, so the streams collapse to a handful of runs).
-    let reply_back: Vec<Vec<T>> = if opts.compress_values {
-        let dict = comm.narrow_dict();
-        let mut enc: Vec<FramedBlock> = Vec::with_capacity(p);
-        let mut narrow_saved = 0u64;
-        for r in &replies {
-            let (e, saved) = compact::encode_values_narrow(r, opts.narrow, dict.as_deref());
-            narrow_saved += saved;
-            // Both the β charge and the value-compression stat are taken
-            // at the legacy stream length (e.len() + saved), so neither
-            // words_sent nor ExtractStats depends on the narrowing tier.
-            let legacy_len = e.len() + saved as usize;
-            stats.value_saved_words +=
-                words_of::<T>(r.len()).saturating_sub(words_of::<u8>(legacy_len));
-            enc.push(FramedBlock {
-                legacy_words: words_of::<u8>(legacy_len),
-                items: r.len() as u64,
-                bytes: e,
-            });
-        }
-        comm.note_narrow_saved(narrow_saved);
-        comm.note_words_saved(
-            stats.dedup_saved_words + stats.compress_saved_words + stats.value_saved_words,
-        );
-        let back = comm.alltoallv_framed(&world, enc, opts.alltoall);
-        back.into_iter()
-            .map(|bytes| compact::decode_values_narrow(&bytes, dict.as_deref()))
-            .collect()
-    } else {
-        comm.note_words_saved(stats.dedup_saved_words + stats.compress_saved_words);
-        comm.alltoallv(&world, replies, opts.alltoall)
-    };
+    let reply_back = comm.alltoallv(&world, replies, opts.alltoall);
     for o in 0..p {
         if hot[o] {
             continue;
         }
-        for &(w, pos) in &plan.scatter[o] {
-            results[pos as usize] = Some(reply_back[o][w as usize]);
+        for (&v, &pos) in reply_back[o].iter().zip(&plan.positions[o]) {
+            results[pos as usize] = Some(v);
         }
     }
     (
@@ -1595,19 +1160,8 @@ impl<I: Idx + WireWord> FusedExtract<I> {
     /// Sends the plan's per-owner request ids through the combining
     /// hypercube and records the route for later reply phases.
     pub fn begin(comm: &mut Comm, plan: &RequestPlan<I>) -> FusedExtract<I> {
-        Self::begin_narrow(comm, plan, NarrowSpec::NATIVE)
-    }
-
-    /// [`FusedExtract::begin`] with a dynamic narrowing tier for the
-    /// forward key streams (see [`DistOpts::narrow_labels`]).
-    pub fn begin_narrow(
-        comm: &mut Comm,
-        plan: &RequestPlan<I>,
-        spec: NarrowSpec,
-    ) -> FusedExtract<I> {
         let world = comm.world();
-        let key_bufs: Vec<Vec<I>> = plan.wire_ids.to_vec();
-        let route = comm.combining_requests_narrow(&world, key_bufs, spec);
+        let route = comm.combining_requests(&world, plan.wire_ids.clone());
         FusedExtract { route }
     }
 
@@ -1619,15 +1173,9 @@ impl<I: Idx + WireWord> FusedExtract<I> {
 
     /// One reply phase: serves the delivered ids from `src` as of *now*
     /// and returns `src[requests[k]]` for each planned request, in order.
-    pub fn extract<T>(
-        &self,
-        comm: &mut Comm,
-        src: &DistVec<T>,
-        plan: &RequestPlan<I>,
-        opts: &DistOpts,
-    ) -> Vec<T>
+    pub fn extract<T>(&self, comm: &mut Comm, src: &DistVec<T>, plan: &RequestPlan<I>) -> Vec<T>
     where
-        T: Copy + Send + WireWord + 'static,
+        T: Copy + Send + 'static,
     {
         let span = comm.span_open(SpanKind::Extract);
         let world = comm.world();
@@ -1643,23 +1191,9 @@ impl<I: Idx + WireWord> FusedExtract<I> {
             .map(|&k| src.get_local(k.idx()))
             .collect();
         comm.charge_compute(values.len() as u64 + 1);
-        let reply = comm.combining_replies_narrow(
-            &world,
-            &self.route,
-            &values,
-            opts.compress_values,
-            opts.narrow,
-        );
+        let reply = comm.combining_replies(&world, &self.route, &values);
         let mut results: Vec<Option<T>> = vec![None; plan.n_requests];
-        for (o, pairs) in reply.iter().enumerate() {
-            for &(w, pos) in &plan.scatter[o] {
-                let key = plan.wire_ids[o][w as usize];
-                let i = pairs
-                    .binary_search_by_key(&key, |&(k, _)| k)
-                    .expect("reply for every requested id");
-                results[pos as usize] = Some(pairs[i].1);
-            }
-        }
+        scatter_keyed_replies(plan, &reply, &vec![false; reply.len()], &mut results);
         comm.charge_compute(plan.n_requests as u64 + 1);
         comm.span_close(span);
         results
@@ -1685,7 +1219,7 @@ pub fn dist_assign<T, M, I>(
     opts: &DistOpts,
 ) -> (usize, AssignStats)
 where
-    T: Copy + Send + PartialEq + WireWord + 'static,
+    T: Copy + Send + PartialEq + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
@@ -1703,52 +1237,19 @@ fn assign_impl<T, M, I>(
     opts: &DistOpts,
 ) -> (usize, AssignStats)
 where
-    T: Copy + Send + PartialEq + WireWord + 'static,
+    T: Copy + Send + PartialEq + 'static,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
     let layout = dst.layout();
-    let me = comm.rank();
     let world = comm.world();
     let mut stats = AssignStats::default();
-    let raw = layout.bucket_by_owner(comm, updates.iter().copied());
-    comm.charge_compute(updates.len() as u64 + 1);
-
-    // Sender-side pre-combining: fold duplicate targets through the
-    // monoid in arrival order — re-associating, never reordering, the
-    // receiver's fold, so the result is bit-identical for associative
-    // monoids — then sort by id. Compression alone sorts *stably*
-    // (preserving per-target arrival order) so the offset stream is
-    // monotone without changing what the receiver folds.
-    let mut ops = 1u64;
-    let buckets: Vec<Vec<(I, T)>> = raw
+    let buckets: Vec<Vec<(I, T)>> = layout
+        .bucket_by_owner(comm, updates.iter().copied())
         .into_iter()
-        .map(|b| {
-            let b = b.detach();
-            if opts.combine_assigns {
-                let before = b.len();
-                let mut m: HashMap<I, T> = HashMap::with_capacity(before.min(1024));
-                for (g, v) in b {
-                    m.entry(g)
-                        .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                        .or_insert(v);
-                }
-                let mut c: Vec<(I, T)> = m.into_iter().collect();
-                c.sort_unstable_by_key(|&(g, _)| g);
-                ops += before as u64 + c.len() as u64;
-                stats.combine_saved_words += words_of::<(I, T)>(before - c.len());
-                c
-            } else if opts.compress_ids {
-                let mut b = b;
-                b.sort_by_key(|&(g, _)| g);
-                ops += b.len() as u64;
-                b
-            } else {
-                b
-            }
-        })
+        .map(PooledBuf::detach)
         .collect();
-    comm.charge_compute(ops);
+    comm.charge_compute(updates.len() as u64 + 1);
 
     // In-flight combining: updates ride the combining hypercube keyed by
     // target id, folding through the monoid wherever two origins' routes
@@ -1758,15 +1259,11 @@ where
     // Keys ride at the narrow index width `I`, so the per-entry tuples
     // are charged at their true size.
     if opts.combine_in_flight {
-        let merged = comm.reduce_scatter_by_key_narrow(
-            &world,
-            buckets,
-            |acc: &mut T, v| *acc = monoid.combine(*acc, v),
-            opts.narrow,
-        );
+        let merged = comm.reduce_scatter_by_key(&world, buckets, |acc: &mut T, v| {
+            *acc = monoid.combine(*acc, v)
+        });
         stats.received_updates = merged.len() as u64;
         comm.charge_compute(stats.received_updates + 1);
-        comm.note_words_saved(stats.combine_saved_words);
         let mut changed = 0;
         for (k, v) in merged {
             let g = k.idx();
@@ -1780,83 +1277,19 @@ where
 
     let mut combined: HashMap<Vid, T> = HashMap::new();
     let mut nops = 0u64;
-    if opts.compress_ids {
-        // Ids cross the wire as encoded local offsets; values ride in a
-        // parallel (position-aligned) exchange.
-        let mut id_bufs: Vec<Vec<u8>> = Vec::with_capacity(buckets.len());
-        let mut val_bufs: Vec<Vec<T>> = Vec::with_capacity(buckets.len());
-        for (o, b) in buckets.iter().enumerate() {
-            let offs: Vec<usize> = b
-                .iter()
-                .map(|&(g, _)| layout.offset_of(o, g.idx()))
-                .collect();
-            let enc =
-                compact::encode_offsets(&offs, opts.combine_assigns, opts.compress_bitmap_density);
-            let raw_words = words_of::<(I, T)>(b.len());
-            let sent_words = words_of::<u8>(enc.len()) + words_of::<T>(b.len());
-            stats.compress_saved_words += raw_words.saturating_sub(sent_words);
-            id_bufs.push(enc);
-            val_bufs.push(b.iter().map(|&(_, v)| v).collect());
-        }
-        let in_ids = comm.alltoallv(&world, id_bufs, opts.alltoall);
-        // Values ride raw or run-length encoded per compress_values.
-        let in_vals: Vec<Vec<T>> = if opts.compress_values {
-            let dict = comm.narrow_dict();
-            let mut enc_vals: Vec<FramedBlock> = Vec::with_capacity(val_bufs.len());
-            let mut narrow_saved = 0u64;
-            for v in &val_bufs {
-                let (e, saved) = compact::encode_values_narrow(v, opts.narrow, dict.as_deref());
-                narrow_saved += saved;
-                // β and the compression stat are charged at the legacy
-                // stream length (e.len() + saved), so words_sent and
-                // AssignStats are identical with narrowing on or off.
-                let legacy_len = e.len() + saved as usize;
-                stats.value_saved_words +=
-                    words_of::<T>(v.len()).saturating_sub(words_of::<u8>(legacy_len));
-                enc_vals.push(FramedBlock {
-                    legacy_words: words_of::<u8>(legacy_len),
-                    items: v.len() as u64,
-                    bytes: e,
-                });
-            }
-            comm.note_narrow_saved(narrow_saved);
-            comm.alltoallv_framed(&world, enc_vals, opts.alltoall)
-                .into_iter()
-                .map(|bytes| compact::decode_values_narrow(&bytes, dict.as_deref()))
-                .collect()
-        } else {
-            comm.alltoallv(&world, val_bufs, opts.alltoall)
-        };
-        for (bytes, vals) in in_ids.into_iter().zip(in_vals) {
-            let bytes = comm.adopt_buf(bytes);
-            let offs = compact::decode_offsets(&bytes);
-            debug_assert_eq!(offs.len(), vals.len(), "id/value streams misaligned");
-            nops += offs.len() as u64;
-            for (&off, &v) in offs.iter().zip(vals.iter()) {
-                combined
-                    .entry(layout.global_of(me, off))
-                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                    .or_insert(v);
-            }
-        }
-    } else {
-        let incoming = comm.alltoallv(&world, buckets, opts.alltoall);
-        for part in incoming {
-            let part = comm.adopt_buf(part);
-            nops += part.len() as u64;
-            for &(g, v) in part.iter() {
-                combined
-                    .entry(g.idx())
-                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                    .or_insert(v);
-            }
+    let incoming = comm.alltoallv(&world, buckets, opts.alltoall);
+    for part in incoming {
+        let part = comm.adopt_buf(part);
+        nops += part.len() as u64;
+        for &(g, v) in part.iter() {
+            combined
+                .entry(g.idx())
+                .and_modify(|acc| *acc = monoid.combine(*acc, v))
+                .or_insert(v);
         }
     }
     stats.received_updates = nops;
     comm.charge_compute(nops + 1);
-    comm.note_words_saved(
-        stats.combine_saved_words + stats.compress_saved_words + stats.value_saved_words,
-    );
     let mut changed = 0;
     for (g, v) in combined {
         if dst.get_local(g) != v {
@@ -1879,43 +1312,6 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const GRIDS: [usize; 4] = [1, 4, 9, 16];
-
-    #[test]
-    fn overlap_dispatch_halves_the_spmv_threshold() {
-        let mut opts = DistOpts {
-            spmv_threshold: 0.5,
-            overlap: true,
-            overlap_dispatch: false,
-            ..DistOpts::optimized()
-        };
-        // Without the opt-in the base threshold applies regardless of overlap.
-        assert!(!spmv_wins(0.3, &opts));
-        assert!(spmv_wins(0.6, &opts));
-        opts.overlap_dispatch = true;
-        // Overlap credit halves the bar: a 0.3 fill now picks SpMV.
-        assert!(spmv_wins(0.3, &opts));
-        assert!(!spmv_wins(0.2, &opts));
-        // No overlap means no hideable allgather, so no credit.
-        opts.overlap = false;
-        assert!(!spmv_wins(0.3, &opts));
-    }
-
-    #[test]
-    fn narrow_entry_frames_roundtrip_and_shrink() {
-        let entries: Vec<(u32, usize)> = (0..200u32).map(|k| (k * 3, (k % 7) as usize)).collect();
-        let spec = dmsim::NarrowSpec {
-            tier: dmsim::NarrowTier::U16,
-        };
-        let frame = encode_entry_frame(&entries, spec, None);
-        assert_eq!(decode_entry_frame::<usize, u32>(&frame, None), entries);
-        // 200 ids + 200 u16 values must land well under the raw wire cost.
-        assert!(
-            (frame.len() as u64) < bytes_of::<(u32, usize)>(entries.len()),
-            "frame is {} bytes",
-            frame.len()
-        );
-        assert!(encode_entry_frame::<usize, u32>(&[], spec, None).len() <= 4);
-    }
 
     fn random_dense(n: usize, seed: u64) -> Vec<usize> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -2197,79 +1593,6 @@ mod tests {
         assert_eq!(out[0], init);
     }
 
-    /// Issues `copies` duplicates of every request/update on each rank and
-    /// returns the per-rank (extract stats, assign stats, snapshot
-    /// words_saved) under the given options.
-    fn compaction_savings(copies: usize, opts: DistOpts) -> Vec<(ExtractStats, AssignStats, u64)> {
-        let n = 64;
-        let p = 4;
-        run_spmd(p, move |c| {
-            let layout = VecLayout::new(n, Grid2d::square(p));
-            let src = DistVec::from_fn(layout, c.rank(), |g| g * 3 % n);
-            let mut reqs = Vec::new();
-            let mut upds = Vec::new();
-            for g in (0..n).step_by(2) {
-                for _ in 0..copies {
-                    reqs.push(g);
-                    upds.push((g, g + c.rank()));
-                }
-            }
-            let opts = DistOpts {
-                hot_bcast: false,
-                ..opts
-            };
-            let (_, es) = dist_extract(c, &src, &reqs, &opts);
-            let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (_, asgn) = dist_assign(c, &mut dst, &upds, MinUsize, &opts);
-            (es, asgn, c.snapshot().words_saved)
-        })
-        .unwrap()
-    }
-
-    #[test]
-    fn savings_counters_zero_when_flags_off() {
-        for (es, asgn, noted) in compaction_savings(4, DistOpts::naive()) {
-            assert_eq!(es.dedup_saved_words, 0);
-            assert_eq!(es.compress_saved_words, 0);
-            assert_eq!(asgn.combine_saved_words, 0);
-            assert_eq!(asgn.compress_saved_words, 0);
-            assert_eq!(noted, 0);
-        }
-    }
-
-    #[test]
-    fn savings_counters_positive_and_monotone_in_duplication() {
-        // With duplicated traffic and the sender-side stack on (combining
-        // disabled so the classic exchange runs), every mechanism must
-        // report savings, and quadrupling the duplication can only save
-        // more words.
-        let sender_side = DistOpts {
-            combine_in_flight: false,
-            fuse_starcheck: false,
-            ..DistOpts::optimized()
-        };
-        let twice = compaction_savings(2, sender_side);
-        let eight = compaction_savings(8, sender_side);
-        for ((es2, as2, noted2), (es8, as8, noted8)) in twice.iter().zip(&eight) {
-            assert!(es2.dedup_saved_words > 0, "dedup saves on duplicates");
-            assert!(es2.compress_saved_words > 0, "ids compress");
-            assert!(as2.combine_saved_words > 0, "combine collapses updates");
-            assert_eq!(
-                *noted2,
-                es2.dedup_saved_words
-                    + es2.compress_saved_words
-                    + es2.value_saved_words
-                    + as2.combine_saved_words
-                    + as2.compress_saved_words
-                    + as2.value_saved_words,
-                "comm counter matches the per-op stats"
-            );
-            assert!(es8.dedup_saved_words >= es2.dedup_saved_words);
-            assert!(as8.combine_saved_words >= as2.combine_saved_words);
-            assert!(noted8 >= noted2, "savings are monotone in duplication");
-        }
-    }
-
     #[test]
     fn combined_words_zero_when_off_and_monotone_when_on() {
         // The in-flight counter stays zero on every non-combining path
@@ -2395,7 +1718,7 @@ mod tests {
                     let a = DistVec::from_fn(layout, c.rank(), |g| g * 5 % n);
                     let b = DistVec::from_fn(layout, c.rank(), |g| (g % 7 == 0) as usize);
                     let reqs = &all_requests[c.rank()];
-                    let plan = plan_requests(c, a.layout(), reqs, &opts);
+                    let plan = plan_requests(c, a.layout(), reqs);
                     let (pa, _) = dist_extract_planned(c, &a, &plan, &opts);
                     let (pb, _) = dist_extract_planned(c, &b, &plan, &opts);
                     let (ua, _) = dist_extract(c, &a, reqs, &opts);

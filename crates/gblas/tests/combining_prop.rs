@@ -9,9 +9,9 @@
 //!   the folded result must be bit-identical to a destination-side fold
 //!   of the plain exchange.
 //! * At the `dist_extract` / `dist_assign` level, flipping
-//!   `combine_in_flight` (and `compress_values`, and the fused route
-//!   replay) must not change a single output bit across blocked/cyclic
-//!   layouts and power-of-two / fallback group sizes.
+//!   `combine_in_flight` (and the fused route replay) must not change a
+//!   single output bit across blocked/cyclic layouts and power-of-two /
+//!   fallback group sizes.
 
 use dmsim::{run_spmd, AllToAll, Grid2d};
 use gblas::dist::{
@@ -120,8 +120,7 @@ proptest! {
         }
     }
 
-    /// `combine_in_flight`, `compress_values`, and the fused route replay
-    /// are wire encodings: extract and assign results must be
+    /// `combine_in_flight` and the fused route replay are wire encodings: extract and assign results must be
     /// bit-identical to the naive exchange on every layout and grid.
     #[test]
     fn combining_ops_bit_identical_to_naive(
@@ -129,12 +128,10 @@ proptest! {
         (p, cyclic) in arb_grid().prop_flat_map(|p| (Just(p), proptest::bool::ANY)),
         reqs in proptest::collection::vec(0usize..1000, 0..60),
         raw in proptest::collection::vec((0usize..1000, 0usize..400), 0..60),
-        compress_values in proptest::bool::ANY,
     ) {
         let naive = DistOpts::naive();
         let combining = DistOpts {
             combine_in_flight: true,
-            compress_values,
             ..naive
         };
         let (rr, ur) = (&reqs, &raw);
@@ -161,14 +158,14 @@ proptest! {
 
             // Fused replay: one request route serves a usize phase, then —
             // after an interleaved assign, as in starcheck — a bool phase.
-            let plan = plan_requests(c, layout, &requests, &naive);
+            let plan = plan_requests(c, layout, &requests);
             let fx = FusedExtract::begin(c, &plan);
-            let fused_vals = fx.extract(c, &src, &plan, &combining);
+            let fused_vals = fx.extract(c, &src, &plan);
             let mut star = DistVec::from_fn(layout, c.rank(), |_| true);
             let demote: Vec<(usize, bool)> =
                 requests.iter().map(|&g| (g, g % 3 != 0)).collect();
             dist_assign(c, &mut star, &demote, AndBool, &naive);
-            let fused_star = fx.extract(c, &star, &plan, &combining);
+            let fused_star = fx.extract(c, &star, &plan);
             let (base_star, _) = dist_extract_planned(c, &star, &plan, &naive);
 
             (

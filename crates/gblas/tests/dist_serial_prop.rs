@@ -1,7 +1,7 @@
 //! Property tests: every distributed primitive must be bit-identical to
 //! its serial counterpart on arbitrary inputs and grids.
 
-use dmsim::{run_spmd, AllToAll, Grid2d};
+use dmsim::{run_spmd, Grid2d};
 use gblas::dist::{
     dist_assign, dist_extract, dist_mxv, dist_mxv_dense, dist_mxv_sparse, DistMask, DistMat,
     DistOpts, DistSpVec, DistVec, VecLayout,
@@ -227,93 +227,6 @@ proptest! {
         .unwrap();
         for got in out {
             prop_assert_eq!(&got, &expect);
-        }
-    }
-
-    /// Sender-side compaction is an encoding of the same traffic: for every
-    /// flag combination, all-to-all algorithm, and layout, `dist_extract`
-    /// and `dist_assign` must be bit-identical to the naive wire format.
-    /// Each rank issues a *different* request/update list so the test also
-    /// covers asymmetric bucket shapes.
-    #[test]
-    fn compaction_bit_identical_to_naive(
-        n in 4usize..80,
-        (p, cyclic) in arb_grid().prop_flat_map(|p| (Just(p), proptest::bool::ANY)),
-        reqs in proptest::collection::vec(0usize..1000, 0..60),
-        raw in proptest::collection::vec((0usize..1000, 0usize..1000), 0..60),
-        algo in prop_oneof![
-            Just(AllToAll::Pairwise),
-            Just(AllToAll::Hypercube),
-            Just(AllToAll::Sparse),
-        ],
-        dedup in proptest::bool::ANY,
-        combine in proptest::bool::ANY,
-        compress in proptest::bool::ANY,
-        density in prop_oneof![Just(0.0f64), Just(0.0625), Just(1.0)],
-        hash in proptest::bool::ANY,
-    ) {
-        let naive = DistOpts {
-            alltoall: algo,
-            hot_bcast: false,
-            ..DistOpts::naive()
-        };
-        let variant = DistOpts {
-            dedup_requests: dedup,
-            combine_assigns: combine,
-            compress_ids: compress,
-            compress_bitmap_density: density,
-            // threshold 1 forces the hash dedup path, the default the
-            // sort path
-            dedup_hash_threshold: if hash { 1 } else { 2048 },
-            ..naive
-        };
-        let (rr, ur) = (&reqs, &raw);
-        let out = run_spmd(p, move |c| {
-            let grid = Grid2d::square(p);
-            let layout = if cyclic {
-                VecLayout::cyclic(n, grid)
-            } else {
-                VecLayout::new(n, grid)
-            };
-            let src = DistVec::from_fn(layout, c.rank(), |g| g * 13 % n);
-            let requests: Vec<usize> =
-                rr.iter().map(|&r| (r + c.rank()) % n).collect();
-            let updates: Vec<(usize, usize)> = ur
-                .iter()
-                .map(|&(i, v)| ((i + c.rank()) % n, v % 991))
-                .collect();
-            let (base_vals, base_stats) = dist_extract(c, &src, &requests, &naive);
-            let (vals, stats) = dist_extract(c, &src, &requests, &variant);
-            let mut base_dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (base_chg, base_astats) =
-                dist_assign(c, &mut base_dst, &updates, MinUsize, &naive);
-            let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (chg, astats) = dist_assign(c, &mut dst, &updates, MinUsize, &variant);
-            (
-                (base_vals, vals, base_dst.to_global(c), dst.to_global(c)),
-                (base_chg, chg),
-                (base_stats, stats, base_astats, astats),
-            )
-        })
-        .unwrap();
-        for ((base_vals, vals, base_dst, dst), (base_chg, chg), stats) in out {
-            prop_assert_eq!(&vals, &base_vals);
-            prop_assert_eq!(&dst, &base_dst);
-            prop_assert_eq!(chg, base_chg);
-            let (base_es, es, base_as, as_) = stats;
-            // The naive wire format never reports savings; compaction may.
-            prop_assert_eq!(base_es.dedup_saved_words + base_es.compress_saved_words, 0);
-            prop_assert_eq!(base_as.combine_saved_words + base_as.compress_saved_words, 0);
-            if !dedup {
-                prop_assert_eq!(es.dedup_saved_words, 0);
-            }
-            if !compress {
-                prop_assert_eq!(es.compress_saved_words, 0);
-                prop_assert_eq!(as_.compress_saved_words, 0);
-            }
-            if !combine {
-                prop_assert_eq!(as_.combine_saved_words, 0);
-            }
         }
     }
 }

@@ -39,6 +39,21 @@ impl std::fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
+/// Largest vertex count a reader accepts: the CSR built from a graph
+/// stores `n + 1` offsets of 8 bytes, and no allocation can exceed
+/// `isize::MAX` bytes. Larger headers are rejected as corrupt instead of
+/// overflowing a capacity computation downstream.
+const MAX_VERTICES: usize = isize::MAX as usize / 8 - 1;
+
+fn check_vertex_count(n: u64) -> Result<usize, IoError> {
+    match usize::try_from(n) {
+        Ok(n) if n <= MAX_VERTICES => Ok(n),
+        _ => Err(IoError::Parse(format!(
+            "header declares {n} vertices, more than the {MAX_VERTICES} a graph can hold"
+        ))),
+    }
+}
+
 /// Reads a Matrix Market coordinate file as an undirected graph.
 ///
 /// One-based indices are converted to zero-based. For `general` files both
@@ -67,10 +82,10 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<EdgeList, IoError> {
     }
     let size_line = size_line.ok_or_else(|| IoError::Parse("missing size line".into()))?;
     let mut it = size_line.split_ascii_whitespace();
-    let rows: usize = parse_tok(it.next(), "rows")?;
-    let cols: usize = parse_tok(it.next(), "cols")?;
+    let rows: u64 = parse_tok(it.next(), "rows")?;
+    let cols: u64 = parse_tok(it.next(), "cols")?;
     let nnz: usize = parse_tok(it.next(), "nnz")?;
-    let n = rows.max(cols);
+    let n = check_vertex_count(rows.max(cols))?;
 
     let mut el = EdgeList::new(n);
     let mut seen = 0usize;
@@ -214,10 +229,14 @@ pub fn from_binary(bytes: impl AsRef<[u8]>) -> Result<EdgeList, IoError> {
         return Err(IoError::Parse("bad magic".into()));
     }
     let mut pos = 4;
-    let n = get_u64_le(bytes, &mut pos) as usize;
-    let m = get_u64_le(bytes, &mut pos) as usize;
-    if bytes.len() - pos < m * 16 {
-        return Err(IoError::Parse("truncated edge section".into()));
+    let n = check_vertex_count(get_u64_le(bytes, &mut pos))?;
+    let m = get_u64_le(bytes, &mut pos);
+    // Checked: a hostile `m` must not wrap the byte count.
+    let edge_bytes = bytes.len() - pos;
+    if m.checked_mul(16).is_none_or(|b| b > edge_bytes as u64) {
+        return Err(IoError::Parse(format!(
+            "header declares {m} edges but the file holds only {edge_bytes} bytes of edges"
+        )));
     }
     let mut el = EdgeList::new(n);
     for _ in 0..m {
@@ -310,6 +329,42 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(from_binary(bad).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_hostile_headers() {
+        let header = |n: u64, m: u64| {
+            let mut b = BINARY_MAGIC.to_le_bytes().to_vec();
+            b.extend_from_slice(&n.to_le_bytes());
+            b.extend_from_slice(&m.to_le_bytes());
+            b
+        };
+        // m = 2^60 + 1: `m * 16` wraps to 16 in 64-bit arithmetic.
+        let mut wrap = header(4, (1 << 60) + 1);
+        wrap.extend_from_slice(&[0u8; 16]);
+        let err = from_binary(&wrap).unwrap_err().to_string();
+        assert!(err.contains("1152921504606846977 edges"), "{err}");
+        // A vertex count no CSR could hold.
+        let err = from_binary(header(u64::MAX, 0)).unwrap_err().to_string();
+        assert!(err.contains("18446744073709551615 vertices"), "{err}");
+        let err = from_binary(header(MAX_VERTICES as u64 + 1, 0)).unwrap_err();
+        assert!(err.to_string().contains("vertices"), "{err}");
+        // The largest accepted count still parses (no allocation is sized
+        // by n here).
+        assert_eq!(
+            from_binary(header(MAX_VERTICES as u64, 0))
+                .unwrap()
+                .num_vertices(),
+            MAX_VERTICES
+        );
+    }
+
+    #[test]
+    fn matrix_market_rejects_huge_vertex_count() {
+        let text = "%%MatrixMarket matrix coordinate pattern general\n\
+                    18446744073709551615 1 0\n";
+        let err = read_matrix_market(text.as_bytes()).unwrap_err().to_string();
+        assert!(err.contains("vertices"), "{err}");
     }
 
     #[test]

@@ -101,17 +101,12 @@ fn dense_as_and_lacc_agree_distributed() {
         canonicalize_labels(&d.labels)
     );
     // Sparsity must reduce modeled work on a many-component graph. The
-    // comparison runs with sender-side compaction and in-flight combining
-    // off: the dense active set's extra traffic is so redundant that
-    // dedup/compression/combining erases most of the gap, and this
-    // assertion is about active-set sparsity.
-    let no_compaction = DistOpts {
-        dedup_requests: false,
-        combine_assigns: false,
-        compress_ids: false,
+    // comparison runs with in-flight combining off: the dense active set's
+    // extra traffic is so redundant that combining erases most of the
+    // gap, and this assertion is about active-set sparsity.
+    let no_combining = DistOpts {
         combine_in_flight: false,
         fuse_starcheck: false,
-        compress_values: false,
         ..DistOpts::default()
     };
     let g = community_graph(4000, 200, 3.0, 1.4, 3);
@@ -120,7 +115,7 @@ fn dense_as_and_lacc_agree_distributed() {
         16,
         EDISON.lacc_model(),
         &LaccOpts {
-            dist: no_compaction,
+            dist: no_combining,
             ..LaccOpts::default()
         },
     )
@@ -130,7 +125,7 @@ fn dense_as_and_lacc_agree_distributed() {
         16,
         EDISON.lacc_model(),
         &LaccOpts {
-            dist: no_compaction,
+            dist: no_combining,
             ..LaccOpts::dense_as()
         },
     )
