@@ -1,4 +1,4 @@
-//! Engine-portfolio benchmark: the three `CcEngine`s head to head.
+//! Engine-portfolio benchmark: the three engines head to head.
 //!
 //! Runs every engine (LACC, FastSV, label propagation) over the same
 //! optimized distributed stack on three graph families — Graph500 RMAT
@@ -13,7 +13,7 @@
 //! * `modeled_s` — modeled machine seconds.
 //!
 //! Per family, canonical labels are asserted identical across all three
-//! engines, and the `auto` selection's choice + rationale are recorded.
+//! engines.
 //! The run asserts FastSV converges in strictly fewer rounds than LACC
 //! on at least one family — the LAGraph-successor claim the engine
 //! portfolio exists to let users exploit.
@@ -22,7 +22,7 @@
 //! `LACC_ENG_RANKS` (default 16).
 
 use dmsim::{TraceLevel, TraceSink};
-use lacc::{EngineKind, EngineSelect, LaccOpts, RunConfig};
+use lacc::{EngineKind, LaccOpts, RunConfig};
 use lacc_graph::generators::{community_graph, mesh_3d, rmat, RmatParams};
 use lacc_graph::unionfind::canonicalize_labels;
 use lacc_graph::CsrGraph;
@@ -70,14 +70,9 @@ fn main() {
         ),
     ];
     let model = lacc_bench::default_model();
-    let engines = [
-        EngineSelect::Lacc,
-        EngineSelect::Fastsv,
-        EngineSelect::LabelProp,
-    ];
+    let engines = [EngineKind::Lacc, EngineKind::Fastsv, EngineKind::LabelProp];
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut auto_choices: Vec<(&'static str, EngineKind, String)> = Vec::new();
     let mut fastsv_beats_lacc = false;
     for (family, g) in &families {
         eprintln!(
@@ -87,8 +82,8 @@ fn main() {
         );
         let mut canon: Option<Vec<usize>> = None;
         let mut iters_by: Vec<(EngineKind, usize)> = Vec::new();
-        for &select in &engines {
-            let opts = LaccOpts::builder().engine(select).build();
+        for &engine in &engines {
+            let opts = LaccOpts::builder().engine(engine).build();
             let sink = TraceSink::new(TraceLevel::Collectives);
             let cfg = RunConfig::new(ranks, model)
                 .with_opts(opts)
@@ -135,17 +130,6 @@ fn main() {
                 .expect("engine ran")
         };
         fastsv_beats_lacc |= iters_of(EngineKind::Fastsv) < iters_of(EngineKind::Lacc);
-
-        // What would `auto` have picked here, and why?
-        let auto = lacc::run(
-            g,
-            &RunConfig::new(ranks, model)
-                .with_opts(LaccOpts::builder().engine(EngineSelect::Auto).build()),
-        )
-        .expect("auto rank panicked");
-        let why = auto.rationale.clone().expect("auto records a rationale");
-        eprintln!("  auto -> {} ({why})", auto.engine);
-        auto_choices.push((family, auto.engine, why));
     }
     assert!(
         fastsv_beats_lacc,
@@ -160,16 +144,6 @@ fn main() {
     json.push_str(&format!(
         "  \"fastsv_fewer_iters_than_lacc_somewhere\": {fastsv_beats_lacc},\n"
     ));
-    json.push_str("  \"auto\": [\n");
-    for (k, (family, engine, why)) in auto_choices.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"family\": \"{family}\", \"engine\": \"{engine}\", \
-             \"rationale\": \"{}\"}}{}\n",
-            why.replace('\\', "\\\\").replace('"', "\\\""),
-            if k + 1 < auto_choices.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str("  \"runs\": [\n");
     for (k, r) in rows.iter().enumerate() {
         json.push_str(&format!(

@@ -135,9 +135,7 @@ fn main() {
 
     // Extension: the first-class distributed FastSV engine (the LAGraph
     // successor) on the same substrate and machine model.
-    let fsv_opts = LaccOpts::builder()
-        .engine(lacc::EngineSelect::Fastsv)
-        .build();
+    let fsv_opts = LaccOpts::builder().engine(lacc::EngineKind::Fastsv).build();
     run_cfg("FastSV engine (extension)", fsv_opts);
 
     let header = ["configuration", "modeled s", "iterations", "sim wall s"];

@@ -11,7 +11,7 @@
 //! communication layer.
 
 use dmsim::EDISON;
-use lacc::{EngineSelect, LaccOpts, RunConfig};
+use lacc::{EngineKind, LaccOpts, RunConfig};
 use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
 use lacc_graph::unionfind::canonicalize_labels;
@@ -53,7 +53,7 @@ fn main() {
             let cfg = RunConfig::new(ranks, EDISON.lacc_model())
                 .with_trace_opt(trace.as_ref().map(TraceConfig::sink));
             let lacc_run = lacc::run(&g, &cfg).expect("distributed LACC rank panicked");
-            let opts = LaccOpts::builder().engine(EngineSelect::Fastsv).build();
+            let opts = LaccOpts::builder().engine(EngineKind::Fastsv).build();
             let fsv = lacc::run(&g, &cfg.clone().with_opts(opts)).expect("FastSV rank panicked");
             assert_eq!(
                 canonicalize_labels(&lacc_run.labels),

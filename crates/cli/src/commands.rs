@@ -2,7 +2,7 @@
 
 use crate::args::{parse, Args};
 use dmsim::{TraceLevel, TraceSink};
-use lacc::{lacc_serial, EngineSelect, LaccOpts, RunConfig};
+use lacc::{lacc_serial, EngineKind, LaccOpts, RunConfig};
 use lacc_baselines as baselines;
 use lacc_graph::generators::{self, suite};
 use lacc_graph::stats::graph_stats;
@@ -17,12 +17,12 @@ pub const USAGE: &str = "usage:
                 [--kernel-threads T] [--spmv-threshold F]
                 [--combine-in-flight true|false] [--fuse-starcheck true|false]
                 [--overlap true|false] [--index-width u32|u64]
-                [--engine lacc|fastsv|labelprop|auto] [--canonical]
+                [--engine lacc|fastsv|labelprop] [--canonical]
                 [--out labels.txt]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
   lacc serve    <graph> [--ranks P] [--machine edison|cori] [--batches B]
                 [--batch-size K] [--queries-per-batch Q] [--delete-every D]
-                [--staleness F] [--engine lacc|fastsv|labelprop|auto]
+                [--staleness F] [--engine lacc|fastsv|labelprop]
                 [--seed S] [--report out.json]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
   lacc generate community  --n N [--components C] [--degree D] [--seed S] --out <graph>
@@ -93,6 +93,13 @@ fn load_graph(args: &Args) -> Result<CsrGraph, String> {
         .get(1)
         .ok_or_else(|| "missing graph path".to_string())?;
     Ok(CsrGraph::from_edges(load_edges(Path::new(path))?))
+}
+
+/// The `--engine` value, or `default` when the flag is absent.
+fn parse_engine(args: &Args, default: EngineKind) -> Result<EngineKind, String> {
+    args.options
+        .get("engine")
+        .map_or(Ok(default), |s| s.parse())
 }
 
 fn cmd_stats(args: &Args) -> Result<(), String> {
@@ -211,16 +218,8 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
                 .map_err(|e: lacc::OptsError| e.to_string())?
                 .unwrap_or(defaults.index_width),
         )
-        // Which connected-components engine runs (auto selects from a
-        // sampled-BFS prepass; see `lacc::engine`).
-        .engine(
-            args.options
-                .get("engine")
-                .map(|s| s.parse())
-                .transpose()
-                .map_err(|e: lacc::OptsError| e.to_string())?
-                .unwrap_or(defaults.engine),
-        )
+        // Which connected-components engine runs (see `lacc::engine`).
+        .engine(parse_engine(args, defaults.engine)?)
         .build();
     // Span tracing: --trace <path> emits Chrome-trace JSON (load it in
     // chrome://tracing or Perfetto) plus an aggregate per-rank report;
@@ -249,9 +248,6 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
         ranks,
         machine.name
     );
-    if let Some(why) = &out.rationale {
-        println!("engine rationale    {why}");
-    }
     println!("iterations          {}", run.num_iterations());
     println!("modeled time        {:.3} ms", run.modeled_total_s * 1e3);
     println!("simulation wall     {:.1} ms", run.wall_s * 1e3);
@@ -328,13 +324,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if staleness < 0.0 || staleness.is_nan() {
         return Err(format!("staleness must be nonnegative, got {staleness}"));
     }
-    let engine: EngineSelect = args
-        .options
-        .get("engine")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e: lacc::OptsError| e.to_string())?
-        .unwrap_or_default();
+    let defaults = ServeOpts::default();
+    let engine = parse_engine(args, defaults.lacc.engine)?;
     let cfg = WorkloadCfg {
         batches: args.get_or("batches", 20)?,
         batch_size: args.get_or("batch-size", 64)?,
@@ -345,8 +336,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let opts = ServeOpts {
         ranks,
         model: machine.lacc_model(),
-        policy: RerunPolicy::staleness(staleness).with_engine(engine),
-        ..Default::default()
+        lacc: LaccOpts {
+            engine,
+            ..defaults.lacc
+        },
+        policy: RerunPolicy::staleness(staleness),
     };
     let trace_path = args.options.get("trace").cloned();
     let level: TraceLevel = args
@@ -385,12 +379,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         s.staleness_reruns,
         s.rerun_modeled_s * 1e3
     );
-    if let Some(k) = svc.last_engine() {
-        println!("rebuild engine      {k} (policy: {engine})");
-    }
-    if let Some(why) = svc.last_engine_rationale() {
-        println!("engine rationale    {why}");
-    }
+    println!("rebuild engine      {engine}");
     println!(
         "update throughput   {:.0} updates/s ({:.1} ms wall)",
         rep.updates_per_s(),
@@ -425,20 +414,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         } else {
             "null".to_string()
         };
-        // The engine the policy requested, the one the last rebuild used
-        // (they differ under `auto`), and auto's rationale if any.
-        let rebuild_engine = match svc.last_engine() {
-            Some(k) => format!("\"{k}\""),
-            None => "null".to_string(),
-        };
-        let rationale_json = match svc.last_engine_rationale() {
-            Some(r) => format!("\"{}\"", r.replace('\\', "\\\\").replace('"', "\\\"")),
-            None => "null".to_string(),
-        };
         let json = format!(
             "{{\n  \"vertices\": {},\n  \"ranks\": {},\n  \"machine\": \"{}\",\n  \
-             \"engine\": \"{engine}\",\n  \"rebuild_engine\": {rebuild_engine},\n  \
-             \"engine_rationale\": {rationale_json},\n  \
+             \"engine\": \"{engine}\",\n  \
              \"batches\": {},\n  \"batch_size\": {},\n  \"queries_per_batch\": {},\n  \
              \"delete_every\": {},\n  \"staleness_threshold\": {},\n  \"seed\": {},\n  \
              \"final_epoch\": {},\n  \"components\": {},\n  \"edges\": {},\n  \
@@ -740,14 +718,14 @@ mod tests {
 
     #[test]
     fn cc_dist_canonical_labels_identical_across_engines() {
-        // The engine-matrix CI smoke in miniature: every engine (and auto)
-        // must produce byte-identical --canonical label files.
+        // The engine-matrix CI smoke in miniature: every engine must
+        // produce byte-identical --canonical label files.
         let dir = std::env::temp_dir().join("lacc-cli-test10");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();
         std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n8 9\n").unwrap();
         let mut files = Vec::new();
-        for eng in ["lacc", "fastsv", "labelprop", "auto"] {
+        for eng in ["lacc", "fastsv", "labelprop"] {
             let out = dir.join(format!("{eng}.txt")).display().to_string();
             dispatch(&argv(&[
                 "cc-dist",
@@ -820,7 +798,7 @@ mod tests {
             "--delete-every",
             "3",
             "--engine",
-            "auto",
+            "fastsv",
             "--report",
             &report,
             "--trace",
@@ -830,13 +808,14 @@ mod tests {
         let json = std::fs::read_to_string(&report).unwrap();
         assert!(json.contains("\"answers_consistent\": true"));
         assert!(json.contains("\"modeled_query_p99_s\""));
-        assert!(json.contains("\"engine\": \"auto\""));
-        assert!(json.contains("\"rebuild_engine\": \""));
-        assert!(!json.contains("\"engine_rationale\": null"));
-        // The bootstrap and the deletion rebuilds appear as tagged spans.
+        assert!(json.contains("\"engine\": \"fastsv\""));
+        // The bootstrap and the deletion rebuilds appear as tagged spans,
+        // and every rebuild ran the requested engine.
         let tr = std::fs::read_to_string(&trace).unwrap();
         assert!(tr.contains("rerun(bootstrap)"));
         assert!(tr.contains("rerun(deletion)"));
+        assert!(tr.contains("engine(fastsv)"));
+        assert!(!tr.contains("engine(lacc)"));
     }
 
     #[test]
@@ -849,6 +828,18 @@ mod tests {
         assert!(dispatch(&argv(&["serve", &p, "--batches", "many"])).is_err());
         assert!(dispatch(&argv(&["serve", &p, "--machine", "summit"])).is_err());
         assert!(dispatch(&argv(&["serve", &p, "--engine", "quantum"])).is_err());
+    }
+
+    #[test]
+    fn auto_engine_is_rejected() {
+        let dir = std::env::temp_dir().join("lacc-cli-test14");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("t.el").display().to_string();
+        std::fs::write(&p, "0 1\n1 2\n").unwrap();
+        for cmd in ["cc-dist", "serve"] {
+            let err = dispatch(&argv(&[cmd, &p, "--ranks", "4", "--engine", "auto"])).unwrap_err();
+            assert!(err.contains("lacc, fastsv, labelprop"), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -1,32 +1,29 @@
 //! Distributed connected components over the simulated machine — the
 //! unified entry point for the whole engine portfolio.
 //!
-//! [`run`] executes one SPMD program on `p` simulated ranks: it resolves
-//! the configured [`crate::engine::EngineSelect`] (running the distributed `Auto`
-//! pre-pass when asked), wraps the run in an engine-tagged trace span,
-//! and dispatches to the chosen [`crate::engine::CcEngine`]. Everything a
-//! run can vary — options, trace sink, serving-rerun tagging — lives in
-//! [`RunConfig`].
+//! [`run`] executes one SPMD program on `p` simulated ranks: it wraps the
+//! run in an engine-tagged trace span and dispatches to the configured
+//! engine ([`crate::engine::run_engine`]). Everything a run can vary —
+//! options, trace sink, serving-rerun tagging — lives in [`RunConfig`].
 //!
 //! With the default LACC engine and `permute = false`, a distributed run
 //! produces a parent vector *bit-identical* to [`crate::serial`] (tested
 //! below) — the strongest possible correctness statement for the
 //! communication layer.
 
-use crate::engine::{self, EngineCtx, EngineRun};
+use crate::engine::{run_engine, EngineCtx};
 use crate::options::{IndexWidth, LaccOpts};
 use crate::stats::{IterStats, LaccRun, StepBreakdown};
 use dmsim::{
     run_spmd_traced, Comm, DmsimError, EngineKind, MachineModel, RerunReason, SpanKind, TraceSink,
-    WireWord,
 };
 use lacc_graph::permute::Permutation;
-use lacc_graph::{ensure_fits, CsrGraph, Idx};
+use lacc_graph::{ensure_fits, CsrGraph};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything one distributed run can vary: rank count, machine model,
-/// [`LaccOpts`] (including the engine selection), an optional trace sink,
+/// [`LaccOpts`] (including the engine), an optional trace sink,
 /// and an optional serving-rerun tag.
 ///
 /// ```
@@ -94,7 +91,7 @@ impl RunConfig {
 }
 
 /// The result of a unified [`run`]: the familiar [`LaccRun`] statistics
-/// plus which engine actually executed and (for `Auto`) why.
+/// plus which engine executed.
 ///
 /// Derefs to [`LaccRun`], so existing call sites keep reading
 /// `out.labels`, `out.num_components()`, etc.
@@ -102,12 +99,8 @@ impl RunConfig {
 pub struct RunOutput {
     /// Labels and per-iteration statistics.
     pub run: LaccRun,
-    /// The engine that executed (the resolved
-    /// [`crate::engine::EngineSelect`]).
+    /// The engine that executed (`opts.engine`).
     pub engine: EngineKind,
-    /// The `Auto` dispatcher's selection rationale (`None` for a fixed
-    /// engine choice).
-    pub rationale: Option<String>,
 }
 
 impl std::ops::Deref for RunOutput {
@@ -115,23 +108,6 @@ impl std::ops::Deref for RunOutput {
     fn deref(&self) -> &LaccRun {
         &self.run
     }
-}
-
-/// What each rank returns from the SPMD program.
-struct RankResult {
-    out: EngineRun,
-    kind: EngineKind,
-    rationale: Option<String>,
-}
-
-fn run_engine_width<I: Idx + WireWord>(
-    kind: EngineKind,
-    comm: &mut Comm,
-    g: &CsrGraph,
-    opts: &LaccOpts,
-) -> EngineRun {
-    let mut ctx = EngineCtx::<I>::new(comm, g, opts);
-    engine::engine_for::<I>(kind).run(&mut ctx)
 }
 
 /// Runs the configured engine on `cfg.ranks` simulated ranks.
@@ -182,6 +158,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
         }
     }
     let rerun = cfg.rerun;
+    let kind = opts.engine;
     let wall_start = Instant::now();
     let spmd = |comm: &mut Comm| {
         // An epoch rebuild counts itself (on rank 0, so sums over
@@ -193,54 +170,44 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
             }
             comm.span_open(SpanKind::Rerun(reason))
         });
-        // Resolve the engine (the Auto pre-pass is deterministic and
-        // max-merged, so every rank agrees), then wrap the run in an
-        // engine-tagged span for trace attribution.
-        let (kind, rationale) = engine::resolve_engine(comm, &work_graph, opts.engine);
+        // An engine-tagged span attributes the whole run in traces.
         let engine_span = comm.span_open(SpanKind::Engine(kind));
         let out = match opts.index_width {
-            IndexWidth::U32 => run_engine_width::<u32>(kind, comm, &work_graph, opts),
-            IndexWidth::U64 => run_engine_width::<usize>(kind, comm, &work_graph, opts),
+            IndexWidth::U32 => {
+                run_engine(kind, &mut EngineCtx::<u32>::new(comm, &work_graph, opts))
+            }
+            IndexWidth::U64 => {
+                run_engine(kind, &mut EngineCtx::<usize>::new(comm, &work_graph, opts))
+            }
         };
         comm.span_close(engine_span);
         if let Some(span) = rerun_span {
             comm.span_close(span);
         }
-        RankResult {
-            out,
-            kind,
-            rationale,
-        }
+        out
     };
     let outs = run_spmd_traced(p, cfg.model, cfg.trace.as_ref(), spmd)?;
     let wall_s = wall_start.elapsed().as_secs_f64();
-    // Surface the resolved engine (and the Auto dispatcher's reasoning)
-    // as run-level trace metadata so Chrome-trace viewers show *why* this
-    // run looks the way it does, not just its spans.
+    // Surface the engine as run-level trace metadata so Chrome-trace
+    // viewers name the algorithm, not just its spans.
     if let Some(sink) = &cfg.trace {
-        sink.add_metadata("engine", outs[0].kind.name());
-        if let Some(rationale) = &outs[0].rationale {
-            sink.add_metadata("engine_rationale", rationale);
-        }
+        sink.add_metadata("engine", kind.name());
     }
 
-    let labels_permuted = outs[0].out.labels.clone().expect("rank 0 returns labels");
+    let labels_permuted = outs[0].labels.clone().expect("rank 0 returns labels");
     let labels = match &perm {
         Some(perm) => perm.unpermute_labels(&labels_permuted),
         None => labels_permuted,
     };
-    let modeled_total_s = outs
-        .iter()
-        .map(|o| o.out.final_clock_s)
-        .fold(0.0f64, f64::max);
-    let niters = outs[0].out.iters.len();
-    debug_assert!(outs.iter().all(|o| o.out.iters.len() == niters));
+    let modeled_total_s = outs.iter().map(|o| o.final_clock_s).fold(0.0f64, f64::max);
+    let niters = outs[0].iters.len();
+    debug_assert!(outs.iter().all(|o| o.iters.len() == niters));
     let iters: Vec<IterStats> = (0..niters)
         .map(|k| {
-            let r0 = &outs[0].out.iters[k];
+            let r0 = &outs[0].iters[k];
             let max_over = |sel: fn(&StepBreakdown) -> f64| {
                 outs.iter()
-                    .map(|o| sel(&o.out.iters[k].modeled))
+                    .map(|o| sel(&o.iters[k].modeled))
                     .fold(0.0f64, f64::max)
             };
             IterStats {
@@ -257,10 +224,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
                     shortcut_s: max_over(|b| b.shortcut_s),
                     starcheck_s: max_over(|b| b.starcheck_s),
                 },
-                extract_received: outs
-                    .iter()
-                    .map(|o| o.out.iters[k].extract_received)
-                    .collect(),
+                extract_received: outs.iter().map(|o| o.iters[k].extract_received).collect(),
             }
         })
         .collect();
@@ -273,15 +237,13 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
             modeled_total_s,
             wall_s,
         },
-        engine: outs[0].kind,
-        rationale: outs[0].rationale.clone(),
+        engine: kind,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineSelect;
     use crate::serial::lacc_serial;
     use dmsim::EDISON;
     use lacc_graph::generators::*;
@@ -616,7 +578,7 @@ mod tests {
         let serial = baselines_oracle_fastsv(&g);
         let opts = LaccOpts {
             permute: false,
-            engine: EngineSelect::Fastsv,
+            engine: EngineKind::Fastsv,
             ..LaccOpts::default()
         };
         let out = run_with(&g, 4, &opts);
@@ -683,15 +645,10 @@ mod tests {
             ("metagenome", metagenome_graph(500, 6, 0.01, 9)),
         ] {
             let truth = ground_truth_labels(&g);
-            for select in [
-                EngineSelect::Lacc,
-                EngineSelect::Fastsv,
-                EngineSelect::LabelProp,
-                EngineSelect::Auto,
-            ] {
+            for select in [EngineKind::Lacc, EngineKind::Fastsv, EngineKind::LabelProp] {
                 // Label propagation on a long path is O(diameter) rounds —
-                // legal but slow; Auto never picks it there.
-                if name == "path" && select == EngineSelect::LabelProp {
+                // legal but slow.
+                if name == "path" && select == EngineKind::LabelProp {
                     continue;
                 }
                 let opts = LaccOpts {
@@ -704,11 +661,7 @@ mod tests {
                     truth,
                     "engine={select} graph={name}"
                 );
-                if select == EngineSelect::Auto {
-                    assert!(out.rationale.is_some(), "Auto must explain itself");
-                } else {
-                    assert!(out.rationale.is_none());
-                }
+                assert_eq!(out.engine, select);
             }
         }
     }
@@ -718,8 +671,8 @@ mod tests {
         use dmsim::TraceLevel;
         let g = rmat(8, 4, RmatParams::graph500(), 17);
         for (select, span) in [
-            (EngineSelect::Fastsv, "engine(fastsv)"),
-            (EngineSelect::LabelProp, "engine(labelprop)"),
+            (EngineKind::Fastsv, "engine(fastsv)"),
+            (EngineKind::LabelProp, "engine(labelprop)"),
         ] {
             let sink = TraceSink::new(TraceLevel::Steps);
             let opts = LaccOpts {
@@ -740,28 +693,16 @@ mod tests {
             assert!(report.kind_time_s(span) > 0.0, "missing {span}");
             assert_eq!(report.kind_time_s("engine(lacc)"), 0.0);
         }
-        // Auto additionally records its pre-pass span.
-        let sink = TraceSink::new(TraceLevel::Steps);
-        let opts = LaccOpts {
-            engine: EngineSelect::Auto,
-            ..LaccOpts::default()
-        };
-        run(
-            &g,
-            &RunConfig::new(4, model()).with_opts(opts).with_trace(&sink),
-        )
-        .unwrap();
-        assert!(sink.report().kind_time_s("engine_select") > 0.0);
     }
 
     #[test]
     fn engine_metadata_recorded_in_trace() {
         use dmsim::TraceLevel;
         let g = rmat(8, 4, RmatParams::graph500(), 17);
-        // A fixed engine records its name but no rationale.
+        // The run records its engine's name as Chrome metadata.
         let sink = TraceSink::new(TraceLevel::Steps);
         let opts = LaccOpts {
-            engine: EngineSelect::Fastsv,
+            engine: EngineKind::Fastsv,
             ..LaccOpts::default()
         };
         run(
@@ -770,26 +711,8 @@ mod tests {
         )
         .unwrap();
         let meta = sink.metadata();
-        assert!(meta.contains(&("engine".to_string(), "fastsv".to_string())));
-        assert!(meta.iter().all(|(k, _)| k != "engine_rationale"));
-        // Auto additionally records its rationale, and both surface as
-        // Chrome metadata events.
-        let sink = TraceSink::new(TraceLevel::Steps);
-        let opts = LaccOpts {
-            engine: EngineSelect::Auto,
-            ..LaccOpts::default()
-        };
-        let out = run(
-            &g,
-            &RunConfig::new(4, model()).with_opts(opts).with_trace(&sink),
-        )
-        .unwrap();
-        let rationale = out.rationale.clone().expect("Auto explains itself");
-        let meta = sink.metadata();
-        assert!(meta.contains(&("engine".to_string(), out.engine.name().to_string())));
-        assert!(meta.contains(&("engine_rationale".to_string(), rationale)));
+        assert_eq!(meta, vec![("engine".to_string(), "fastsv".to_string())]);
         let json = sink.chrome_trace_json();
-        assert!(json.contains("\"engine_rationale\""));
         assert!(json.contains("\"ph\":\"M\""));
     }
 
@@ -812,11 +735,11 @@ mod tests {
             sink.report().combined_words
         };
         let optimized = LaccOpts {
-            engine: EngineSelect::Fastsv,
+            engine: EngineKind::Fastsv,
             ..LaccOpts::default()
         };
         let naive = LaccOpts {
-            engine: EngineSelect::Fastsv,
+            engine: EngineKind::Fastsv,
             ..LaccOpts::naive_comm()
         };
         assert!(combined_words(&optimized) > 0, "nothing combined in flight");
@@ -827,7 +750,7 @@ mod tests {
     fn engines_agree_across_widths_and_layouts() {
         let g = community_graph(400, 20, 3.0, 1.4, 6);
         let truth = ground_truth_labels(&g);
-        for select in [EngineSelect::Fastsv, EngineSelect::LabelProp] {
+        for select in [EngineKind::Fastsv, EngineKind::LabelProp] {
             let base = LaccOpts {
                 permute: false,
                 engine: select,
@@ -852,21 +775,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn auto_routes_by_family() {
-        // A fragmented many-component graph goes to LACC; a single
-        // dominant deep component goes to FastSV.
-        let frag = community_graph(800, 40, 3.0, 1.4, 2);
-        let opts = LaccOpts {
-            engine: EngineSelect::Auto,
-            ..LaccOpts::default()
-        };
-        let out = run_with(&frag, 4, &opts);
-        assert_eq!(out.engine, EngineKind::Lacc, "{:?}", out.rationale);
-        let deep = path_graph(600);
-        let out = run_with(&deep, 4, &opts);
-        assert_eq!(out.engine, EngineKind::Fastsv, "{:?}", out.rationale);
     }
 }

@@ -44,10 +44,7 @@ pub mod verify;
 
 pub use dist::{run, RunConfig, RunOutput};
 pub use dmsim::EngineKind;
-pub use engine::{
-    caps_for, choose_engine, engine_for, CcEngine, EngineCaps, EngineCtx, EngineIter, EngineRun,
-    EngineSelect, FastsvEngine, LabelPropEngine, LaccEngine,
-};
+pub use engine::{run_engine, EngineCtx, EngineIter, EngineRun};
 pub use options::{IndexWidth, LaccOpts, LaccOptsBuilder, OptsError};
 pub use serial::lacc_serial;
 pub use stats::{IterStats, LaccRun, StepBreakdown};

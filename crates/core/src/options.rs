@@ -6,8 +6,7 @@
 //! validates every numeric knob so callers such as the CLI cannot smuggle
 //! out-of-range values into a run.
 
-use crate::engine::EngineSelect;
-use dmsim::AllToAll;
+use dmsim::{AllToAll, EngineKind};
 use gblas::dist::DistOpts;
 
 /// Storage width for vertex indices and parent labels across the
@@ -89,11 +88,10 @@ pub struct LaccOpts {
     pub cyclic_vectors: bool,
     /// Storage width of indices and labels (see [`IndexWidth`]).
     pub index_width: IndexWidth,
-    /// Which connected-components engine runs (see
-    /// [`crate::engine::EngineSelect`]; `Auto` picks from a sampled
-    /// pre-pass). Defaults to LACC, preserving bit-identity with the
-    /// serial reference.
-    pub engine: EngineSelect,
+    /// Which connected-components engine runs (see [`crate::engine`]).
+    /// Defaults to LACC, preserving bit-identity with the serial
+    /// reference.
+    pub engine: EngineKind,
 }
 
 impl Default for LaccOpts {
@@ -107,7 +105,7 @@ impl Default for LaccOpts {
             max_iters: 200,
             cyclic_vectors: false,
             index_width: IndexWidth::default(),
-            engine: EngineSelect::default(),
+            engine: EngineKind::Lacc,
         }
     }
 }
@@ -320,8 +318,8 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Selects the connected-components engine (or `Auto` selection).
-    pub fn engine(mut self, e: EngineSelect) -> Self {
+    /// Selects the connected-components engine.
+    pub fn engine(mut self, e: EngineKind) -> Self {
         self.opts.engine = e;
         self
     }
@@ -416,7 +414,7 @@ mod tests {
             .permute(false)
             .permute_seed(7)
             .cyclic_vectors(true)
-            .engine(EngineSelect::Fastsv)
+            .engine(EngineKind::Fastsv)
             .combine_in_flight(false)
             .fuse_starcheck(false)
             .overlap(false)
@@ -432,7 +430,7 @@ mod tests {
         assert!(!o.permute);
         assert_eq!(o.permute_seed, 7);
         assert!(o.cyclic_vectors);
-        assert_eq!(o.engine, EngineSelect::Fastsv);
+        assert_eq!(o.engine, EngineKind::Fastsv);
         assert!(!o.dist.combine_in_flight);
         assert!(!o.dist.fuse_starcheck);
         assert!(!o.dist.overlap);

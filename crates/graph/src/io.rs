@@ -49,7 +49,7 @@ fn check_vertex_count(n: u64) -> Result<usize, IoError> {
     match usize::try_from(n) {
         Ok(n) if n <= MAX_VERTICES => Ok(n),
         _ => Err(IoError::Parse(format!(
-            "header declares {n} vertices, more than the {MAX_VERTICES} a graph can hold"
+            "{n} vertices is more than the {MAX_VERTICES} a graph can hold"
         ))),
     }
 }
@@ -170,14 +170,14 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<EdgeList, 
             }
             n
         }
-        None => {
-            if pairs.is_empty() {
-                0
-            } else {
-                max_id + 1
-            }
-        }
+        None if pairs.is_empty() => 0,
+        None => max_id.checked_add(1).ok_or_else(|| {
+            IoError::Parse(format!(
+                "vertex id {max_id} leaves no room for a vertex count"
+            ))
+        })?,
     };
+    let n = check_vertex_count(n as u64)?;
     Ok(EdgeList::from_pairs(n, pairs))
 }
 
@@ -357,6 +357,25 @@ mod tests {
                 .num_vertices(),
             MAX_VERTICES
         );
+    }
+
+    #[test]
+    fn edge_list_rejects_hostile_vertex_ids() {
+        // `max_id + 1` would wrap to 0.
+        let err = read_edge_list("0 18446744073709551615\n".as_bytes(), None)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("18446744073709551615"), "{err}");
+        // 2^62 + 1 vertices: no CSR offset array of that size fits.
+        let err = read_edge_list("0 4611686018427387904\n".as_bytes(), None)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("4611686018427387905 vertices"), "{err}");
+        // An explicit universe goes through the same check.
+        let err = read_edge_list("0 1\n".as_bytes(), Some(usize::MAX))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("vertices"), "{err}");
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   edges applied so far.
 //! * **Deletions** cannot be handled incrementally by a union-find over
 //!   insertions, so any effective deletion triggers a full recompute
-//!   over the optimized distributed stack ([`lacc::run`] with the engine
-//!   chosen by the [`RerunPolicy`]) whose labels are swapped in atomically
-//!   as a new epoch.
+//!   over the optimized distributed stack ([`lacc::run`] with the
+//!   options in [`ServeOpts::lacc`], engine included) whose labels are
+//!   swapped in atomically as a new epoch.
 //! * **Staleness**: incremental hooking answers queries correctly but
 //!   leaves the store's trees shallower-than-canonical and drifts away
 //!   from the bit-exact labels a from-scratch run would produce. A

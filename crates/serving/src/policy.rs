@@ -5,8 +5,6 @@
 //! incrementally hooked forest may drift from the canonical labels a
 //! from-scratch run would produce before the service pays for a rebuild.
 
-use lacc::EngineSelect;
-
 /// Staleness policy for a [`crate::CcService`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RerunPolicy {
@@ -14,9 +12,6 @@ pub struct RerunPolicy {
     /// `0.0` rebuilds after any batch that hooked at least once;
     /// `f64::INFINITY` never rebuilds for staleness.
     pub staleness_threshold: f64,
-    /// Which engine rebuilds run ([`EngineSelect::Auto`] re-selects from
-    /// prepass statistics on every rebuild, tracking the evolving graph).
-    pub engine: EngineSelect,
 }
 
 impl Default for RerunPolicy {
@@ -24,7 +19,6 @@ impl Default for RerunPolicy {
     fn default() -> Self {
         RerunPolicy {
             staleness_threshold: 0.25,
-            engine: EngineSelect::default(),
         }
     }
 }
@@ -35,7 +29,6 @@ impl RerunPolicy {
         assert!(threshold >= 0.0, "staleness threshold must be nonnegative");
         RerunPolicy {
             staleness_threshold: threshold,
-            ..Default::default()
         }
     }
 
@@ -43,7 +36,6 @@ impl RerunPolicy {
     pub fn never() -> Self {
         RerunPolicy {
             staleness_threshold: f64::INFINITY,
-            ..Default::default()
         }
     }
 
@@ -51,14 +43,7 @@ impl RerunPolicy {
     pub fn always() -> Self {
         RerunPolicy {
             staleness_threshold: 0.0,
-            ..Default::default()
         }
-    }
-
-    /// The same policy with rebuilds routed to `engine`.
-    pub fn with_engine(mut self, engine: EngineSelect) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// True when `hooks` incremental merges since the last rebuild exceed
@@ -83,14 +68,5 @@ mod tests {
         assert!(!RerunPolicy::always().stale(0, 100));
         assert!(!RerunPolicy::never().stale(usize::MAX / 2, 2));
         assert!(!RerunPolicy::default().stale(5, 0));
-    }
-
-    #[test]
-    fn engine_defaults_and_override() {
-        assert_eq!(RerunPolicy::default().engine, EngineSelect::Lacc);
-        assert_eq!(RerunPolicy::never().engine, EngineSelect::Lacc);
-        let p = RerunPolicy::staleness(0.5).with_engine(EngineSelect::Auto);
-        assert_eq!(p.engine, EngineSelect::Auto);
-        assert_eq!(p.staleness_threshold, 0.5);
     }
 }

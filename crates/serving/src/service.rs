@@ -86,8 +86,6 @@ pub struct CcService {
     sink: Option<Arc<TraceSink>>,
     hooks_since_rebuild: usize,
     stats: ServiceStats,
-    last_engine: Option<lacc::EngineKind>,
-    last_rationale: Option<String>,
 }
 
 impl CcService {
@@ -100,8 +98,6 @@ impl CcService {
             sink: None,
             hooks_since_rebuild: 0,
             stats: ServiceStats::default(),
-            last_engine: None,
-            last_rationale: None,
         }
     }
 
@@ -172,17 +168,6 @@ impl CcService {
     /// Merges applied since the last full rebuild (the staleness input).
     pub fn hooks_since_rebuild(&self) -> usize {
         self.hooks_since_rebuild
-    }
-
-    /// Engine that ran the most recent rebuild (`None` before any rebuild).
-    pub fn last_engine(&self) -> Option<lacc::EngineKind> {
-        self.last_engine
-    }
-
-    /// Why [`Self::last_engine`] was chosen, when the policy's
-    /// [`EngineSelect::Auto`](lacc::EngineSelect::Auto) made the call.
-    pub fn last_engine_rationale(&self) -> Option<&str> {
-        self.last_rationale.as_deref()
     }
 
     /// Applies one batch and publishes a new epoch.
@@ -260,16 +245,11 @@ impl CcService {
         let n = self.num_vertices();
         let el = EdgeList::from_pairs(n, self.edges.iter().copied());
         let g = CsrGraph::from_edges(el);
-        let mut opts = self.opts.lacc;
-        opts.engine = self.opts.policy.engine;
         let cfg = lacc::RunConfig::new(self.opts.ranks, self.opts.model)
-            .with_opts(opts)
+            .with_opts(self.opts.lacc)
             .with_trace_opt(self.sink.as_ref())
             .with_rerun(reason);
-        let out = lacc::run(&g, &cfg)?;
-        self.last_engine = Some(out.engine);
-        self.last_rationale = out.rationale.clone();
-        let run = &out.run;
+        let run = lacc::run(&g, &cfg)?.run;
         self.store.install_labels(&run.labels);
         self.hooks_since_rebuild = 0;
         self.stats.reruns += 1;
@@ -443,24 +423,28 @@ mod tests {
     }
 
     #[test]
-    fn policy_engine_routes_rebuilds() {
+    fn lacc_opts_engine_routes_rebuilds() {
+        // Every rebuild — bootstrap, deletion and staleness — runs the
+        // engine set in `ServeOpts::lacc`.
         let g = lacc_graph::generators::path_graph(16);
+        let sink = TraceSink::new(dmsim::TraceLevel::Steps);
         let opts = ServeOpts {
-            policy: RerunPolicy::always().with_engine(lacc::EngineSelect::Fastsv),
+            lacc: lacc::LaccOpts::builder()
+                .engine(lacc::EngineKind::Fastsv)
+                .build(),
+            policy: RerunPolicy::always(),
             ..Default::default()
         };
-        let svc = CcService::from_graph(&g, opts).unwrap();
-        assert_eq!(svc.last_engine(), Some(lacc::EngineKind::Fastsv));
-        assert_eq!(svc.last_engine_rationale(), None); // fixed choice: no rationale
-
-        let auto = ServeOpts {
-            policy: RerunPolicy::always().with_engine(lacc::EngineSelect::Auto),
-            ..Default::default()
-        };
-        let mut svc = CcService::from_graph(&g, auto).unwrap();
-        assert!(svc.last_engine().is_some());
-        assert!(svc.last_engine_rationale().is_some());
+        let mut svc = CcService::from_graph_traced(&g, opts, Some(sink.clone())).unwrap();
+        let mut b = UpdateBatch::new();
+        b.delete(7, 8);
+        svc.apply_batch(&b).unwrap();
+        svc.apply_batch(&insert_batch(&[(8, 7)])).unwrap();
+        assert_eq!(svc.stats().reruns, 3);
         assert!(svc.same_component(0, 15));
+        let report = sink.report();
+        assert!(report.kind_time_s("engine(fastsv)") > 0.0);
+        assert_eq!(report.kind_time_s("engine(lacc)"), 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Engine-portfolio matrix: every `CcEngine` must compute the same
+//! Engine-portfolio matrix: every engine must compute the same
 //! partition through every configuration of the distributed stack.
 //!
 //! For each generated graph, runs all three engines (LACC, FastSV, label
@@ -7,15 +7,14 @@
 //! identical *canonical* labels everywhere (LACC's raw labels are
 //! tree-root ids while FastSV/labelprop converge to component minima, so
 //! raw bit-equality across engines is not expected — canonical equality
-//! is the cross-engine contract). `Auto` must route to a valid engine,
-//! report a rationale, and agree with the ground truth too.
+//! is the cross-engine contract).
 
 use lacc_suite::baselines as b;
 use lacc_suite::gblas::dist::DistOpts;
 use lacc_suite::graph::generators::*;
 use lacc_suite::graph::unionfind::canonicalize_labels;
 use lacc_suite::graph::{CsrGraph, EdgeList};
-use lacc_suite::lacc::{self, EngineKind, EngineSelect, IndexWidth, LaccOpts};
+use lacc_suite::lacc::{self, EngineKind, IndexWidth, LaccOpts};
 use proptest::prelude::*;
 
 fn run_engine(g: &CsrGraph, opts: LaccOpts) -> lacc::RunOutput {
@@ -27,11 +26,7 @@ fn run_engine(g: &CsrGraph, opts: LaccOpts) -> lacc::RunOutput {
 /// cell's canonical labels must equal serial union-find's.
 fn assert_matrix_agrees(name: &str, g: &CsrGraph) {
     let truth = b::union_find_cc(g);
-    for engine in [
-        EngineSelect::Lacc,
-        EngineSelect::Fastsv,
-        EngineSelect::LabelProp,
-    ] {
+    for engine in [EngineKind::Lacc, EngineKind::Fastsv, EngineKind::LabelProp] {
         for naive in [false, true] {
             for cyclic in [false, true] {
                 for width in [IndexWidth::U32, IndexWidth::U64] {
@@ -86,25 +81,5 @@ proptest! {
             pairs.into_iter().map(|(u, v)| (u % n, v % n)).collect();
         let g = CsrGraph::from_edges(EdgeList::from_pairs(n, pairs));
         assert_matrix_agrees("arbitrary", &g);
-    }
-
-    #[test]
-    fn auto_routes_to_a_valid_engine(
-        n in 1usize..60,
-        pairs in proptest::collection::vec((0usize..60, 0usize..60), 0..120),
-    ) {
-        let pairs: Vec<(usize, usize)> =
-            pairs.into_iter().map(|(u, v)| (u % n, v % n)).collect();
-        let g = CsrGraph::from_edges(EdgeList::from_pairs(n, pairs));
-        let out = run_engine(&g, LaccOpts {
-            engine: EngineSelect::Auto,
-            ..LaccOpts::default()
-        });
-        prop_assert!(matches!(
-            out.engine,
-            EngineKind::Lacc | EngineKind::Fastsv | EngineKind::LabelProp
-        ));
-        prop_assert!(out.rationale.is_some(), "auto must explain its choice");
-        prop_assert_eq!(canonicalize_labels(&out.labels), b::union_find_cc(&g));
     }
 }

@@ -128,9 +128,9 @@ proptest! {
     fn overlap_is_invisible_in_results_and_traffic(
         g in arb_graph(80, 200),
         engine in prop_oneof![
-            Just(lacc::EngineSelect::Lacc),
-            Just(lacc::EngineSelect::Fastsv),
-            Just(lacc::EngineSelect::LabelProp),
+            Just(lacc::EngineKind::Lacc),
+            Just(lacc::EngineKind::Fastsv),
+            Just(lacc::EngineKind::LabelProp),
         ],
         cyclic in prop_oneof![Just(false), Just(true)],
         narrow in prop_oneof![Just(false), Just(true)],
