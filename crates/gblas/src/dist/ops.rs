@@ -8,6 +8,17 @@
 //! * [`dist_mxv_sparse`] (SpMSpV) — sparse allgather within columns →
 //!   local multiply → irregular all-to-all within rows + local merge
 //!   (the paper's description verbatim) → transpose exchange.
+//!
+//! A masked `mxv` on the blocked layout first exchanges the output mask:
+//! each owner bit-packs its chunk and sends it to the rank that holds the
+//! chunk after the row reduce (the transpose hop in reverse), and the
+//! processor row allgathers the words, so every rank of grid row `i` holds
+//! the bitmap of row block `i`. The mask is then part of the operation, as
+//! in `GrB_mxv`: the local multiply computes only masked rows (pulling
+//! them through the row mirror or pushing columns past unmasked rows,
+//! whichever is expected to touch less), the row reduce carries only
+//! masked rows, and a chunk without masked rows sends no transpose
+//! message.
 //! * [`dist_extract`] / [`dist_assign`] — request/reply through a global
 //!   all-to-all, with the §V-B mitigations: selectable all-to-all
 //!   algorithm (pairwise / hypercube / sparse) and the hot-rank broadcast
@@ -18,10 +29,10 @@
 
 use super::dmat::DistMat;
 use super::dvec::{block_range, DistSpVec, DistVec, Distribution, VecLayout};
-use crate::serial::{kernel_pool, CsrMirror, Dcsc};
+use crate::serial::{kernel_pool, Dcsc};
 use crate::types::Monoid;
 use crate::Vid;
-use dmsim::{AllToAll, CombineRoute, Comm, CommHandle, PooledBuf, SpanKind, WireWord};
+use dmsim::{AllToAll, CombineRoute, Comm, CommHandle, Grid2d, PooledBuf, SpanKind, WireWord};
 use lacc_graph::Idx;
 use std::collections::HashMap;
 
@@ -283,19 +294,238 @@ where
     scatter_merge_to_owners(comm, layout, produced, mask, monoid, opts)
 }
 
-/// Phase-2 local multiply for the SpMV-style paths: folds `x_block[j]`
-/// into every stored row of the local block. With `threads <= 1` this is
-/// the serial DCSC column sweep; otherwise rows are split across the
-/// kernel pool via the row mirror. A mirror row's columns are ascending —
-/// the same order the column sweep combines them in — so the two are
-/// bit-identical for any associative monoid. When `present` is given,
-/// only columns flagged there contribute (the densified-sparse-input case
-/// of [`dist_mxv`]).
-fn local_multiply_block<T, M, I>(
-    local: &Dcsc<I>,
-    mirror: &CsrMirror<I>,
+/// The transpose hop of the blocked `mxv` on rank `me = (i, j)`: `owner`
+/// is the layout owner of chunk `i·pc + j`, which `me` holds after the
+/// row reduce, and `holder` is the rank holding `me`'s own chunk then.
+/// (On the square grid both are the transposed rank `(j, i)`.)
+fn transpose_peers(grid: Grid2d, layout: VecLayout, me: usize) -> (usize, usize) {
+    let (i, j) = grid.coords_of(me);
+    let pc = grid.cols();
+    let owner = layout.rank_of_chunk(i * pc + j);
+    let my_chunk = layout.chunk_of_rank(me);
+    let holder = grid.rank_of(my_chunk / pc, my_chunk % pc);
+    (owner, holder)
+}
+
+/// The set bits of a packed bitmap within `lo..hi`, ascending. Scanning
+/// them reads [`words_spanned`]`(lo, hi)` words.
+fn set_bits(words: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+    let first = lo / 64;
+    (first..hi.div_ceil(64)).flat_map(move |w| {
+        let mut bits = words[w];
+        if w == first {
+            bits &= !0u64 << (lo % 64);
+        }
+        if w + 1 == hi.div_ceil(64) && !hi.is_multiple_of(64) {
+            bits &= (1u64 << (hi % 64)) - 1;
+        }
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let k = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + k
+            })
+        })
+    })
+}
+
+/// Words a scan of bits `lo..hi` reads.
+fn words_spanned(lo: usize, hi: usize) -> u64 {
+    if lo >= hi {
+        0
+    } else {
+        (hi.div_ceil(64) - lo / 64) as u64
+    }
+}
+
+/// The output mask of a blocked-layout `mxv`, as [`exchange_mask`] leaves
+/// it on one rank.
+struct MxvMask {
+    /// Bitmap of this rank's row block: bit `lr` is set when global row
+    /// `rs + lr` passes the mask. Every rank of a grid row holds the same
+    /// words.
+    row: Vec<u64>,
+    /// Set bits in `row`.
+    count: usize,
+    /// Set bits of `row` in the chunk held by each member of the
+    /// processor row (chunk `i·pc + k` for member `k`).
+    chunk_counts: Vec<usize>,
+    /// This rank's own chunk of the mask, bit-packed (the owner side).
+    own: Vec<u64>,
+    /// Set bits in `own`.
+    own_count: usize,
+}
+
+/// Phase 0 of a masked blocked-layout `mxv`: each owner bit-packs its chunk
+/// of the mask (with `Complement` applied) and sends the words to the
+/// rank holding that chunk after the row reduce — phase 4's transpose hop
+/// in reverse — and the processor row allgathers them, so every rank of
+/// grid row `i` ends up with the same bitmap of row block `i`. That costs
+/// one point-to-point message and one row allgather of `n/p/64` words per
+/// rank, charged one op per word packed or placed. `None` for an unmasked
+/// `mxv`, which computes every row.
+fn exchange_mask<I: Idx>(
+    comm: &mut Comm,
+    a: &DistMat<I>,
+    layout: VecLayout,
+    mask: DistMask<'_>,
+) -> Option<MxvMask> {
+    let (m, keep) = match mask {
+        DistMask::None => return None,
+        DistMask::Keep(m) => (m, true),
+        DistMask::Complement(m) => (m, false),
+    };
+    debug_assert_eq!(m.layout(), layout, "mask layout differs from the vector's");
+    let me = comm.rank();
+    let grid = a.grid();
+    let local = m.local();
+    let mut own = vec![0u64; local.len().div_ceil(64)];
+    for (k, &b) in local.iter().enumerate() {
+        own[k / 64] |= ((b == keep) as u64) << (k % 64);
+    }
+    let own_count = own.iter().map(|w| w.count_ones() as usize).sum();
+    let (owner, holder) = transpose_peers(grid, layout, me);
+    let held = if holder == me {
+        debug_assert_eq!(owner, me);
+        own.clone()
+    } else {
+        comm.send_vec(holder, own.clone());
+        comm.recv(owner)
+    };
+    let row_group = grid.row_group(comm);
+    let chunks = comm.allgatherv(&row_group, held);
+
+    // Place chunk i·pc + k at its bit offset in the row block.
+    let (i, _) = grid.coords_of(me);
+    let (rs, re) = a.row_range();
+    let mut row = vec![0u64; (re - rs).div_ceil(64)];
+    let mut chunk_counts = Vec::with_capacity(chunks.len());
+    let mut ops = own.len() as u64;
+    for (k, words) in chunks.iter().enumerate() {
+        let off = block_range(a.n(), grid.size(), i * grid.cols() + k).0 - rs;
+        for (w, &bits) in words.iter().enumerate() {
+            let (q, r) = ((off + 64 * w) / 64, (off + 64 * w) % 64);
+            row[q] |= bits << r;
+            // Padding bits are zero, so a spill past the block is empty.
+            if r != 0 && bits >> (64 - r) != 0 {
+                row[q + 1] |= bits >> (64 - r);
+            }
+        }
+        chunk_counts.push(words.iter().map(|w| w.count_ones() as usize).sum());
+        ops += words.len() as u64;
+    }
+    comm.charge_compute(ops);
+    Some(MxvMask {
+        row,
+        count: chunk_counts.iter().sum(),
+        chunk_counts,
+        own,
+        own_count,
+    })
+}
+
+/// Which rows a phase-2 local multiply computes.
+#[derive(Clone, Copy)]
+enum RowSel<'a> {
+    /// Every row of the block (an unmasked `mxv`).
+    All,
+    /// The rows set in this row-block bitmap, by sweeping the input's
+    /// columns and skipping unmasked rows (push).
+    Push(&'a [u64]),
+    /// The rows set in this row-block bitmap, visited one by one through
+    /// the row mirror (pull).
+    Pull(&'a [u64]),
+}
+
+impl<'a> RowSel<'a> {
+    /// Picks the direction of a masked multiply over a block of `h` rows
+    /// and `nnz` nonzeros. Pull runs when its expected ops — one per bitmap
+    /// word, one per masked row, the masked rows' share of `nnz`, plus
+    /// `pull_extra` — are below push's expected `push_ops`. Each rank
+    /// decides alone: both directions fold every row's columns in
+    /// ascending order, so the choice never changes a bit of the result.
+    fn choose(
+        mask: Option<&'a MxvMask>,
+        h: usize,
+        nnz: usize,
+        push_ops: u64,
+        pull_extra: u64,
+    ) -> Self {
+        let Some(m) = mask else {
+            return RowSel::All;
+        };
+        let share = (nnz as u128 * m.count as u128 / h.max(1) as u128) as u64;
+        let pull = m.row.len() as u64 + m.count as u64 + share + pull_extra;
+        if pull < push_ops {
+            RowSel::Pull(&m.row)
+        } else {
+            RowSel::Push(&m.row)
+        }
+    }
+
+    /// The row-block bitmap, if the multiply is masked.
+    fn bitmap(self) -> Option<&'a [u64]> {
+        match self {
+            RowSel::All => None,
+            RowSel::Push(bits) | RowSel::Pull(bits) => Some(bits),
+        }
+    }
+
+    /// Whether block-local row `lr` is computed.
+    fn keeps(self, lr: usize) -> bool {
+        self.bitmap()
+            .is_none_or(|bits| bits[lr / 64] >> (lr % 64) & 1 == 1)
+    }
+}
+
+/// Folds `x_block` over one mirror row's columns — ascending, the column
+/// sweep's order — into `slot`, skipping columns absent from `present`;
+/// returns the nonzeros folded.
+fn fold_row<T, M, I>(
+    cols: &[I],
     x_block: &[T],
     present: Option<&[bool]>,
+    monoid: M,
+    slot: &mut T,
+    hit: &mut bool,
+) -> u64
+where
+    T: Copy,
+    M: Monoid<T>,
+    I: Idx,
+{
+    let mut ops = 0u64;
+    for &j in cols {
+        let j = j.idx();
+        if present.is_some_and(|pr| !pr[j]) {
+            continue;
+        }
+        *slot = monoid.combine(*slot, x_block[j]);
+        *hit = true;
+        ops += 1;
+    }
+    ops
+}
+
+/// Phase-2 local multiply for the SpMV-style paths: folds `x_block[j]`
+/// into every stored row of the local block that `rows` selects. With
+/// `threads <= 1` the push direction is the serial DCSC column sweep;
+/// otherwise rows are split across the kernel pool via the row mirror. A
+/// mirror row's columns are ascending — the same order the column sweep
+/// combines them in — so all variants are bit-identical for any
+/// associative monoid. [`RowSel::Pull`] visits only the masked rows
+/// (row-split over the pool when threaded). When `present` is given, only
+/// columns flagged there contribute (the densified-sparse-input case of
+/// [`dist_mxv`]).
+///
+/// The op count is thread-count-independent: one per nonzero folded or
+/// tested against the row mask, plus, when pulling, one per bitmap word
+/// and per masked row.
+fn local_multiply_block<T, M, I>(
+    a: &DistMat<I>,
+    x_block: &[T],
+    present: Option<&[bool]>,
+    rows: RowSel<'_>,
     monoid: M,
     threads: usize,
 ) -> (Vec<T>, Vec<bool>, u64)
@@ -304,24 +534,68 @@ where
     M: Monoid<T>,
     I: Idx,
 {
+    let (local, mirror) = (a.local(), a.row_mirror());
     let h = local.nrows();
     let mut acc = vec![monoid.identity(); h];
     let mut touched = vec![false; h];
+    if let RowSel::Pull(bits) = rows {
+        let masked: Vec<usize> = set_bits(bits, 0, h).collect();
+        let mut ops = bits.len() as u64 + masked.len() as u64;
+        if threads <= 1 {
+            for &lr in &masked {
+                ops += fold_row(
+                    mirror.row(lr),
+                    x_block,
+                    present,
+                    monoid,
+                    &mut acc[lr],
+                    &mut touched[lr],
+                );
+            }
+            return (acc, touched, ops);
+        }
+        let pool = kernel_pool(threads);
+        let chunk = masked.len().div_ceil(pool.current_num_threads()).max(1);
+        let mut folded = vec![(monoid.identity(), false); masked.len()];
+        let mut chunk_ops = vec![0u64; masked.len().div_ceil(chunk)];
+        pool.scope(|s| {
+            for ((part, out), co) in masked
+                .chunks(chunk)
+                .zip(folded.chunks_mut(chunk))
+                .zip(chunk_ops.iter_mut())
+            {
+                s.spawn(move || {
+                    *co = part
+                        .iter()
+                        .zip(out.iter_mut())
+                        .map(|(&lr, (v, t))| {
+                            fold_row(mirror.row(lr), x_block, present, monoid, v, t)
+                        })
+                        .sum();
+                });
+            }
+        });
+        for (&lr, &(v, t)) in masked.iter().zip(&folded) {
+            acc[lr] = v;
+            touched[lr] = t;
+        }
+        return (acc, touched, ops + chunk_ops.iter().sum::<u64>());
+    }
     if threads <= 1 {
         let mut ops: u64 = 0;
-        for (lc, rows) in local.nonempty_cols() {
-            if let Some(pr) = present {
-                if !pr[lc] {
-                    continue;
-                }
+        for (lc, col_rows) in local.nonempty_cols() {
+            if present.is_some_and(|pr| !pr[lc]) {
+                continue;
             }
             let xv = x_block[lc];
-            for &lr in rows {
+            for &lr in col_rows {
                 let lr = lr.idx();
-                acc[lr] = monoid.combine(acc[lr], xv);
-                touched[lr] = true;
+                if rows.keeps(lr) {
+                    acc[lr] = monoid.combine(acc[lr], xv);
+                    touched[lr] = true;
+                }
             }
-            ops += rows.len() as u64;
+            ops += col_rows.len() as u64;
         }
         return (acc, touched, ops);
     }
@@ -339,16 +613,15 @@ where
             s.spawn(move || {
                 let mut ops = 0u64;
                 for (o, (a_slot, t_slot)) in ac.iter_mut().zip(tc.iter_mut()).enumerate() {
-                    for &j in mirror.row(lo + o) {
-                        let j = j.idx();
-                        if let Some(pr) = present {
-                            if !pr[j] {
-                                continue;
-                            }
-                        }
-                        *a_slot = monoid.combine(*a_slot, x_block[j]);
-                        *t_slot = true;
-                        ops += 1;
+                    let cols = mirror.row(lo + o);
+                    if rows.keeps(lo + o) {
+                        ops += fold_row(cols, x_block, present, monoid, a_slot, t_slot);
+                    } else {
+                        // Charged as the serial sweep tests them.
+                        ops += cols
+                            .iter()
+                            .filter(|j| present.is_none_or(|pr| pr[j.idx()]))
+                            .count() as u64;
                     }
                 }
                 *co = ops;
@@ -356,6 +629,61 @@ where
         }
     });
     (acc, touched, chunk_ops.iter().sum())
+}
+
+/// `nnz`'s share of `part` out of `whole` (an expected op count).
+fn share(nnz: usize, part: usize, whole: usize) -> u64 {
+    (nnz as u128 * part as u128 / whole.max(1) as u128) as u64
+}
+
+/// Phase 2 in SpMV style for a gathered sparse input: densifies the
+/// entries into the column-block segment plus a presence bitmap, runs
+/// [`local_multiply_block`] over the rows `rows` selects, and lists the
+/// touched rows in ascending order (under a mask, by scanning only the
+/// masked rows).
+fn multiply_densified<T, M, I>(
+    a: &DistMat<I>,
+    gathered: &[(I, T)],
+    rows: RowSel<'_>,
+    monoid: M,
+    threads: usize,
+) -> (Vec<T>, Vec<Vid>, u64)
+where
+    T: Copy + Send + Sync,
+    M: Monoid<T>,
+    I: Idx,
+{
+    let (cs, ce) = a.col_range();
+    let w = ce - cs;
+    let mut x_block = vec![monoid.identity(); w];
+    let mut present = vec![false; w];
+    for &(g, v) in gathered {
+        x_block[g.idx() - cs] = v;
+        present[g.idx() - cs] = true;
+    }
+    let (acc, flags, ops) =
+        local_multiply_block(a, &x_block, Some(&present), rows, monoid, threads);
+    let mut ops = ops + w as u64 + gathered.len() as u64;
+    let touched: Vec<Vid> = match rows.bitmap() {
+        None => flags
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t)
+            .map(|(lr, _)| lr)
+            .collect(),
+        Some(bits) => {
+            let mut touched = Vec::new();
+            ops += bits.len() as u64;
+            for lr in set_bits(bits, 0, flags.len()) {
+                ops += 1;
+                if flags[lr] {
+                    touched.push(lr);
+                }
+            }
+            touched
+        }
+    };
+    (acc, touched, ops)
 }
 
 /// Phase-2 local multiply for the SpMSpV-style paths: per-entry scatter of
@@ -372,6 +700,9 @@ where
 /// contributions arrive in gathered order (scanner slices are contiguous),
 /// so the fold is the serial fold verbatim: bit-identical for any monoid.
 ///
+/// Rows that `rows` does not select (a masked `mxv`'s unmasked rows) are
+/// skipped: they are neither accumulated nor reported as touched.
+///
 /// Returns `(acc, touched rows, op count)`; the serial path reports
 /// `touched` in first-touch order and the partitioned path in ascending
 /// order — callers sort. The op count charges the expansion exactly as the
@@ -380,6 +711,7 @@ fn local_multiply_entries<T, M, I>(
     local: &Dcsc<I>,
     cs: usize,
     gathered: &[(I, T)],
+    rows: RowSel<'_>,
     monoid: M,
     threads: usize,
 ) -> (Vec<T>, Vec<Vid>, u64)
@@ -395,16 +727,19 @@ where
         let mut is_touched = vec![false; h];
         let mut touched: Vec<Vid> = Vec::new();
         for &(gc, xv) in gathered {
-            let rows = local.col(gc.idx() - cs);
-            for &lr in rows {
+            let col_rows = local.col(gc.idx() - cs);
+            for &lr in col_rows {
                 let lr = lr.idx();
+                if !rows.keeps(lr) {
+                    continue;
+                }
                 if !is_touched[lr] {
                     is_touched[lr] = true;
                     touched.push(lr);
                 }
                 acc[lr] = monoid.combine(acc[lr], xv);
             }
-            ops += rows.len() as u64 + 1;
+            ops += col_rows.len() as u64 + 1;
         }
         return (acc, touched, ops);
     }
@@ -429,11 +764,13 @@ where
             s.spawn(move || {
                 let mut ops = 0u64;
                 for &(gc, xv) in es {
-                    let rows = local.col(gc.idx() - cs);
-                    for &lr in rows {
-                        b[lr.idx() / part].push((lr, xv));
+                    let col_rows = local.col(gc.idx() - cs);
+                    for &lr in col_rows {
+                        if rows.keeps(lr.idx()) {
+                            b[lr.idx() / part].push((lr, xv));
+                        }
                     }
-                    ops += rows.len() as u64 + 1;
+                    ops += col_rows.len() as u64 + 1;
                 }
                 *so = ops;
             });
@@ -478,11 +815,45 @@ where
     (acc, touched, ops)
 }
 
+/// Phase 4, the transpose exchange: sends the reduced chunk this rank
+/// holds to its layout owner and returns the chunk this rank owns. Under a
+/// mask a chunk without masked rows travels nowhere: its holder knows from
+/// the row bitmap, its owner from its own mask words.
+fn transpose_exchange<X, I>(
+    comm: &mut Comm,
+    a: &DistMat<I>,
+    layout: VecLayout,
+    held: Vec<X>,
+    mask: Option<&MxvMask>,
+) -> Vec<X>
+where
+    X: Send + 'static,
+    I: Idx,
+{
+    let me = comm.rank();
+    let (owner, holder) = transpose_peers(a.grid(), layout, me);
+    if owner == me {
+        debug_assert_eq!(holder, me);
+        return held;
+    }
+    let (_, j) = a.grid().coords_of(me);
+    if mask.is_none_or(|m| m.chunk_counts[j] > 0) {
+        comm.send_vec(owner, held);
+    }
+    if mask.is_none_or(|m| m.own_count > 0) {
+        comm.recv(holder)
+    } else {
+        Vec::new()
+    }
+}
+
 /// Phases 3–4 shared by the SpMSpV-style paths ([`dist_mxv_sparse`] and
 /// the dense-execution branch of [`dist_mxv`]): route the touched partial
 /// results to their subchunk owners within the processor row (irregular
 /// all-to-all + monoid merge), then the transpose exchange to the layout
-/// owner, applying the mask owner-side.
+/// owner. Under a mask the local multiply touched only masked rows, so
+/// only those travel, and a row block without masked rows skips the
+/// reduce.
 #[allow(clippy::too_many_arguments)] // internal seam between two mxv phases
 fn spmspv_reduce_and_transpose<T, M, I>(
     comm: &mut Comm,
@@ -490,7 +861,7 @@ fn spmspv_reduce_and_transpose<T, M, I>(
     layout: VecLayout,
     acc: &[T],
     mut touched: Vec<Vid>,
-    mask: DistMask<'_>,
+    mask: Option<&MxvMask>,
     monoid: M,
     opts: &DistOpts,
 ) -> DistSpVec<T, I>
@@ -501,50 +872,36 @@ where
 {
     let me = comm.rank();
     let grid = a.grid();
-    let (i, j) = grid.coords_of(me);
+    let (i, _) = grid.coords_of(me);
     let pc = grid.cols();
     let (rs, _re) = a.row_range();
-    let row_group = grid.row_group(comm);
-    let mut buckets: Vec<PooledBuf<(I, T)>> = (0..pc).map(|_| comm.pooled_buf()).collect();
-    touched.sort_unstable();
-    for &lr in &touched {
-        let g = rs + lr;
-        let c = layout.chunk_containing(g);
-        debug_assert!(c >= i * pc && c < (i + 1) * pc);
-        buckets[c - i * pc].push((I::from_usize(g), acc[lr]));
-    }
-    let buckets: Vec<Vec<(I, T)>> = buckets.into_iter().map(PooledBuf::detach).collect();
     let mut merged: HashMap<I, T> = HashMap::new();
-    let mut merge_ops = 0u64;
-    let incoming = comm.alltoallv(&row_group, buckets, opts.alltoall);
-    for part in incoming {
-        let part = comm.adopt_buf(part);
-        merge_ops += part.len() as u64;
-        for &(g, v) in part.iter() {
-            merged
-                .entry(g)
-                .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                .or_insert(v);
+    if mask.is_none_or(|m| m.count > 0) {
+        let row_group = grid.row_group(comm);
+        let mut buckets: Vec<PooledBuf<(I, T)>> = (0..pc).map(|_| comm.pooled_buf()).collect();
+        touched.sort_unstable();
+        for &lr in &touched {
+            let g = rs + lr;
+            let c = layout.chunk_containing(g);
+            debug_assert!(c >= i * pc && c < (i + 1) * pc);
+            buckets[c - i * pc].push((I::from_usize(g), acc[lr]));
         }
+        let buckets: Vec<Vec<(I, T)>> = buckets.into_iter().map(PooledBuf::detach).collect();
+        let mut merge_ops = 0u64;
+        let incoming = comm.alltoallv(&row_group, buckets, opts.alltoall);
+        for part in incoming {
+            let part = comm.adopt_buf(part);
+            merge_ops += part.len() as u64;
+            for &(g, v) in part.iter() {
+                merged
+                    .entry(g)
+                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
+                    .or_insert(v);
+            }
+        }
+        comm.charge_compute(merge_ops);
     }
-    comm.charge_compute(merge_ops);
-
-    let held_chunk = i * pc + j;
-    let owner = layout.rank_of_chunk(held_chunk);
-    let my_chunk = layout.chunk_of_rank(me);
-    let holder = grid.rank_of(my_chunk / pc, my_chunk % pc);
-    let to_send: Vec<(I, T)> = merged.into_iter().collect();
-    let mine: Vec<(I, T)> = if owner == me {
-        to_send
-    } else {
-        comm.send_vec(owner, to_send);
-        comm.recv(holder)
-    };
-
-    let entries: Vec<(I, T)> = mine
-        .into_iter()
-        .filter(|&(g, _)| mask.allows(g.idx()))
-        .collect();
+    let entries = transpose_exchange(comm, a, layout, merged.into_iter().collect(), mask);
     comm.charge_compute(entries.len() as u64);
     DistSpVec::from_local_entries(layout, me, entries)
 }
@@ -612,8 +969,9 @@ where
         return dist_mxv_cyclic(comm, a, Some(x), None, mask, monoid, opts);
     }
     let me = comm.rank();
-    let (i, j) = grid.coords_of(me);
-    let (pr, pc, p) = (grid.rows(), grid.cols(), grid.size());
+    let (i, _) = grid.coords_of(me);
+    let (pc, p) = (grid.cols(), grid.size());
+    let rows = exchange_mask(comm, a, layout, mask);
 
     // Phase 1: assemble the column-block segment of x within the processor
     // column (group index within col_group equals grid row, so blocks
@@ -627,65 +985,80 @@ where
     let x_block: Vec<T> = gh.peek().concat();
     debug_assert_eq!(x_block.len(), a.col_range().1 - a.col_range().0);
 
-    // Phase 2: local block multiply into a row-block accumulator
-    // (row-split across the kernel pool when `opts.kernel_threads > 1`).
-    let (rs, _re) = a.row_range();
-    let (acc, touched, ops) = local_multiply_block(
-        a.local(),
-        a.row_mirror(),
-        &x_block,
-        None,
-        monoid,
-        opts.kernel_threads,
-    );
+    // Phase 2: local block multiply into a row-block accumulator, masked
+    // rows only under a mask (row-split across the kernel pool when
+    // `opts.kernel_threads > 1`).
+    let (rs, re) = a.row_range();
+    let nnz = a.local_nnz();
+    let sel = RowSel::choose(rows.as_ref(), re - rs, nnz, nnz as u64, 0);
+    let (acc, touched, ops) =
+        local_multiply_block(a, &x_block, None, sel, monoid, opts.kernel_threads);
     comm.charge_compute(ops + x_block.len() as u64);
     gh.wait(comm);
 
     // Phase 3: reduce-scatter within the processor row. Subchunk k of this
     // row block is global chunk i·pc + k, destined for row-group member k.
-    let row_group = grid.row_group(comm);
-    let parts: Vec<Vec<(T, bool)>> = (0..pc)
-        .map(|k| {
-            let (s, e) = block_range(a.n(), p, i * pc + k);
-            (s..e).map(|g| (acc[g - rs], touched[g - rs])).collect()
-        })
-        .collect();
-    let reduced = comm.reduce_scatter(&row_group, parts, |aa: &mut (T, bool), bb: (T, bool)| {
-        if bb.1 {
-            if aa.1 {
-                aa.0 = monoid.combine(aa.0, bb.0);
-            } else {
-                *aa = bb;
+    // Under a mask only the masked rows travel, by position — every member
+    // holds the same bitmap, so no keys are needed — and a row block
+    // without masked rows skips the reduce.
+    let reduced: Vec<(T, bool)> = if rows.as_ref().is_none_or(|m| m.count > 0) {
+        let mut ops = 0u64;
+        let parts: Vec<Vec<(T, bool)>> = (0..pc)
+            .map(|k| {
+                let (s, e) = block_range(a.n(), p, i * pc + k);
+                let (lo, hi) = (s - rs, e - rs);
+                match sel.bitmap() {
+                    None => (lo..hi).map(|lr| (acc[lr], touched[lr])).collect(),
+                    Some(bits) => {
+                        let part: Vec<(T, bool)> = set_bits(bits, lo, hi)
+                            .map(|lr| (acc[lr], touched[lr]))
+                            .collect();
+                        ops += words_spanned(lo, hi) + part.len() as u64;
+                        part
+                    }
+                }
+            })
+            .collect();
+        comm.charge_compute(ops);
+        let row_group = grid.row_group(comm);
+        comm.reduce_scatter(&row_group, parts, |aa: &mut (T, bool), bb: (T, bool)| {
+            if bb.1 {
+                if aa.1 {
+                    aa.0 = monoid.combine(aa.0, bb.0);
+                } else {
+                    *aa = bb;
+                }
             }
-        }
-    });
+        })
+    } else {
+        Vec::new()
+    };
 
     // Phase 4: transpose exchange — the reduced chunk i·pc + j belongs to
     // rank (j, i) under the column-major vector layout.
-    let held_chunk = i * pc + j;
-    let owner = layout.rank_of_chunk(held_chunk);
-    let my_chunk = layout.chunk_of_rank(me);
-    let holder = grid.rank_of(my_chunk / pc, my_chunk % pc);
-    let mine: Vec<(T, bool)> = if owner == me {
-        debug_assert_eq!(holder, me);
-        reduced
-    } else {
-        comm.send_vec(owner, reduced);
-        comm.recv(holder)
-    };
-    let _ = pr;
+    let mine = transpose_exchange(comm, a, layout, reduced, rows.as_ref());
 
-    // Owner-side: keep touched entries passing the mask.
+    // Owner-side: keep the touched entries. Under a mask they arrived for
+    // the chunk's masked positions only, in order.
     let (s, _e) = layout.range_of_rank(me);
-    let entries: Vec<(I, T)> = mine
-        .into_iter()
-        .enumerate()
-        .filter(|(_, (_, t))| *t)
-        .map(|(off, (v, _))| (s + off, v))
-        .filter(|&(g, _)| mask.allows(g))
-        .map(|(g, v)| (I::from_usize(g), v))
-        .collect();
-    comm.charge_compute(entries.len() as u64);
+    let keep_touched = |(off, (v, t)): (usize, (T, bool))| t.then(|| (I::from_usize(s + off), v));
+    let (entries, scanned): (Vec<(I, T)>, u64) = match &rows {
+        None => (
+            mine.into_iter()
+                .enumerate()
+                .filter_map(keep_touched)
+                .collect(),
+            0,
+        ),
+        Some(m) => (
+            set_bits(&m.own, 0, layout.local_len(me))
+                .zip(mine)
+                .filter_map(keep_touched)
+                .collect(),
+            m.own.len() as u64,
+        ),
+    };
+    comm.charge_compute(entries.len() as u64 + scanned);
     DistSpVec::from_local_entries(layout, me, entries)
 }
 
@@ -729,6 +1102,8 @@ where
         return dist_mxv_cyclic(comm, a, None, Some(x), mask, monoid, opts);
     }
 
+    let rows = exchange_mask(comm, a, layout, mask);
+
     // Phase 1: sparse allgather of x entries within the processor column,
     // posted non-blocking so the per-entry multiply streams behind it.
     let col_group = grid.col_group(comm);
@@ -738,16 +1113,24 @@ where
     let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
 
     // Phase 2: local multiply through the DCSC block (owner-partitioned
-    // across the kernel pool when `opts.kernel_threads > 1`).
-    let (cs, _ce) = a.col_range();
-    let (acc, touched, ops) =
-        local_multiply_entries(a.local(), cs, &gathered, monoid, opts.kernel_threads);
+    // across the kernel pool when `opts.kernel_threads > 1`). Under a mask
+    // the per-entry push skips unmasked rows; when few rows are masked the
+    // densified pull over them is expected to touch less.
+    let (cs, ce) = a.col_range();
+    let (rs, re) = a.row_range();
+    let (nnz, k) = (a.local_nnz(), gathered.len());
+    let push_ops = k as u64 + share(nnz, k, ce - cs);
+    let sel = RowSel::choose(rows.as_ref(), re - rs, nnz, push_ops, (ce - cs + k) as u64);
+    let (acc, touched, ops) = match sel {
+        RowSel::Pull(_) => multiply_densified(a, &gathered, sel, monoid, opts.kernel_threads),
+        _ => local_multiply_entries(a.local(), cs, &gathered, sel, monoid, opts.kernel_threads),
+    };
     comm.charge_compute(ops);
     gh.wait(comm);
 
     // Phases 3–4: row-wise reduce + transpose exchange (the paper's SpMSpV
     // reduce phase).
-    spmspv_reduce_and_transpose(comm, a, layout, &acc, touched, mask, monoid, opts)
+    spmspv_reduce_and_transpose(comm, a, layout, &acc, touched, rows.as_ref(), monoid, opts)
 }
 
 /// Adaptive distributed `mxv` over a sparse input: measures the input's
@@ -846,6 +1229,7 @@ where
 
     // SpMV-style execution: same sparse allgather (posted, so the densify
     // and block multiply stream behind the transfer), then densify.
+    let rows = exchange_mask(comm, a, layout, mask);
     let grid = a.grid();
     let col_group = grid.col_group(comm);
     let gh = comm.post(opts.overlap, |c| {
@@ -853,30 +1237,14 @@ where
     });
     let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
     let (cs, ce) = a.col_range();
-    let w = ce - cs;
-    let mut x_block = vec![monoid.identity(); w];
-    let mut present = vec![false; w];
-    for &(g, v) in &gathered {
-        x_block[g.idx() - cs] = v;
-        present[g.idx() - cs] = true;
-    }
-    let (acc, touched_flags, ops) = local_multiply_block(
-        a.local(),
-        a.row_mirror(),
-        &x_block,
-        Some(&present),
-        monoid,
-        opts.kernel_threads,
-    );
-    comm.charge_compute(ops + w as u64 + gathered.len() as u64);
+    let (rs, re) = a.row_range();
+    let nnz = a.local_nnz();
+    let push_ops = share(nnz, gathered.len(), ce - cs);
+    let sel = RowSel::choose(rows.as_ref(), re - rs, nnz, push_ops, 0);
+    let (acc, touched, ops) = multiply_densified(a, &gathered, sel, monoid, opts.kernel_threads);
+    comm.charge_compute(ops);
     gh.wait(comm);
-    let touched: Vec<Vid> = touched_flags
-        .iter()
-        .enumerate()
-        .filter(|&(_, &t)| t)
-        .map(|(lr, _)| lr)
-        .collect();
-    spmspv_reduce_and_transpose(comm, a, layout, &acc, touched, mask, monoid, opts)
+    spmspv_reduce_and_transpose(comm, a, layout, &acc, touched, rows.as_ref(), monoid, opts)
 }
 
 /// The owner-bucketing of one extract request list, computed once by
@@ -1730,6 +2098,194 @@ mod tests {
                     assert_eq!(pa, ua, "p={p} rank={r}");
                     assert_eq!(pb, ub, "p={p} rank={r}");
                 }
+            }
+        }
+    }
+
+    /// Packs a bool slice into bitmap words.
+    fn pack(bits: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (k, &b) in bits.iter().enumerate() {
+            words[k / 64] |= (b as u64) << (k % 64);
+        }
+        words
+    }
+
+    #[test]
+    fn set_bits_respects_range_and_word_edges() {
+        let flags: Vec<bool> = (0..200).map(|k| k % 7 == 0 || k == 63 || k == 64).collect();
+        let words = pack(&flags);
+        for (lo, hi) in [(0, 200), (5, 5), (63, 65), (64, 128), (1, 199), (70, 130)] {
+            let got: Vec<usize> = set_bits(&words, lo, hi).collect();
+            let want: Vec<usize> = (lo..hi).filter(|&k| flags[k]).collect();
+            assert_eq!(got, want, "{lo}..{hi}");
+            assert!(words_spanned(lo, hi) <= (hi - lo).div_ceil(64) as u64 + 1);
+        }
+        assert_eq!(words_spanned(5, 5), 0);
+    }
+
+    #[test]
+    fn pull_and_push_kernels_agree_bitwise() {
+        // Both directions of a masked multiply, threaded or not, with and
+        // without a presence bitmap, must produce the unmasked kernel's
+        // values on the masked rows and touch nothing else; each
+        // direction's op count must not depend on the thread count.
+        let g = rmat(9, 4, RmatParams::graph500(), 5);
+        let n = g.num_vertices();
+        let x = random_dense(n, 9);
+        let grid = Grid2d::square(9);
+        for rank in 0..9 {
+            let a = DistMat::<usize>::from_graph(&g, grid, rank);
+            let (cs, ce) = a.col_range();
+            let (rs, re) = a.row_range();
+            let h = re - rs;
+            let x_block = &x[cs..ce];
+            let present: Vec<bool> = (0..ce - cs).map(|c| c % 3 != 0).collect();
+            let masked: Vec<bool> = (0..h).map(|lr| lr % 5 == 0 || lr > h * 3 / 4).collect();
+            let bits = pack(&masked);
+            for pres in [None, Some(&present[..])] {
+                let mut ops_at_one = (0, 0);
+                for threads in [1usize, 2, 4] {
+                    let all =
+                        local_multiply_block(&a, x_block, pres, RowSel::All, MinUsize, threads);
+                    let push = local_multiply_block(
+                        &a,
+                        x_block,
+                        pres,
+                        RowSel::Push(&bits),
+                        MinUsize,
+                        threads,
+                    );
+                    let pull = local_multiply_block(
+                        &a,
+                        x_block,
+                        pres,
+                        RowSel::Pull(&bits),
+                        MinUsize,
+                        threads,
+                    );
+                    for (lr, &kept) in masked.iter().enumerate() {
+                        let want = if kept {
+                            (all.0[lr], all.1[lr])
+                        } else {
+                            (usize::MAX, false)
+                        };
+                        assert_eq!((push.0[lr], push.1[lr]), want, "push rank={rank} row={lr}");
+                        assert_eq!((pull.0[lr], pull.1[lr]), want, "pull rank={rank} row={lr}");
+                    }
+                    if threads == 1 {
+                        ops_at_one = (push.2, pull.2);
+                    }
+                    assert_eq!((push.2, pull.2), ops_at_one, "threads={threads}");
+                }
+            }
+            // The per-entry kernel's push agrees with the densified pull.
+            let gathered: Vec<(usize, usize)> = (cs..ce).step_by(2).map(|c| (c, x[c])).collect();
+            for threads in [1usize, 4] {
+                let push = local_multiply_entries(
+                    a.local(),
+                    cs,
+                    &gathered,
+                    RowSel::Push(&bits),
+                    MinUsize,
+                    threads,
+                );
+                let pull =
+                    multiply_densified(&a, &gathered, RowSel::Pull(&bits), MinUsize, threads);
+                let mut push_rows = push.1.clone();
+                push_rows.sort_unstable();
+                assert_eq!(push_rows, pull.1, "rank={rank} threads={threads}");
+                assert!(push_rows.iter().all(|&lr| masked[lr]));
+                for &lr in &push_rows {
+                    assert_eq!(push.0[lr], pull.0[lr]);
+                }
+            }
+        }
+    }
+
+    /// One traced `dist_mxv_dense` at `p` ranks: per rank, the number of
+    /// `reduce_scatter` spans it opened, the messages it sent, and the
+    /// assembled result.
+    fn traced_dense_mxv(
+        g: &CsrGraph,
+        p: usize,
+        mask_global: Option<&[bool]>,
+    ) -> Vec<(usize, u64, SparseVec<usize>)> {
+        let n = g.num_vertices();
+        let x_global = random_dense(n, 3);
+        let sink = dmsim::TraceSink::new(dmsim::TraceLevel::Collectives);
+        let out = dmsim::run_spmd_traced(p, dmsim::MachineModel::free(), Some(&sink), |c| {
+            let grid = Grid2d::square(p);
+            let layout = VecLayout::new(n, grid);
+            let a = DistMat::from_graph(g, grid, c.rank());
+            let x = DistVec::from_global(layout, c.rank(), &x_global);
+            let mv = mask_global.map(|m| DistVec::from_global(layout, c.rank(), m));
+            let mask = mv.as_ref().map_or(DistMask::None, DistMask::Keep);
+            let before = c.snapshot().messages_sent;
+            let y = dist_mxv_dense(c, &a, &x, mask, MinUsize, &DistOpts::default());
+            let sent = c.snapshot().messages_sent - before;
+            (sent, y.to_serial(c))
+        })
+        .unwrap();
+        let mut reduces = vec![0usize; p];
+        for t in sink.rank_traces() {
+            reduces[t.rank] = t
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::ReduceScatter)
+                .count();
+        }
+        out.into_iter()
+            .zip(reduces)
+            .map(|((sent, y), r)| (r, sent, y))
+            .collect()
+    }
+
+    #[test]
+    fn all_false_mask_skips_reduce_and_transpose() {
+        // Against the unmasked call, an all-false mask leaves only the
+        // column gather and the mask exchange on the wire: no reduce, and
+        // no transpose message.
+        let g = rmat(7, 4, RmatParams::graph500(), 9);
+        let n = g.num_vertices();
+        let none = vec![false; n];
+        for p in [4usize, 9, 16] {
+            let grid = Grid2d::square(p);
+            let q = grid.rows() as u64;
+            for (rank, (reduces, _, y)) in traced_dense_mxv(&g, p, None).into_iter().enumerate() {
+                assert_eq!(reduces, 1, "p={p} rank={rank}: unmasked call reduces");
+                assert!(y.nvals() > 0);
+            }
+            let masked = traced_dense_mxv(&g, p, Some(&none));
+            for (rank, (reduces, sent, y)) in masked.into_iter().enumerate() {
+                let (i, j) = grid.coords_of(rank);
+                assert_eq!(reduces, 0, "p={p} rank={rank}: no reduce_scatter");
+                // Column gather + mask allgather + the mask hop off the
+                // diagonal; a transpose message would be one more.
+                let expect = (q - 1) + (q - 1) + (i != j) as u64;
+                assert_eq!(sent, expect, "p={p} rank={rank}: messages");
+                assert_eq!(y.nvals(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn mask_in_one_row_block_reduces_only_there() {
+        let g = rmat(7, 4, RmatParams::graph500(), 9);
+        let n = g.num_vertices();
+        let a_serial = Pattern::from_graph(&g);
+        let x_global = random_dense(n, 3);
+        for p in [4usize, 9, 16] {
+            let grid = Grid2d::square(p);
+            let (s, e) = block_range(n, grid.rows(), 0);
+            let mask: Vec<bool> = (0..n).map(|v| v >= s && v < e && v % 2 == 0).collect();
+            let expected = serial::mxv_dense(&a_serial, &x_global, Mask::Keep(&mask), MinUsize);
+            for (rank, (reduces, _, y)) in
+                traced_dense_mxv(&g, p, Some(&mask)).into_iter().enumerate()
+            {
+                let (i, _) = grid.coords_of(rank);
+                assert_eq!(reduces, (i == 0) as usize, "p={p} rank={rank}");
+                assert_eq!(y, expected, "p={p} rank={rank}");
             }
         }
     }

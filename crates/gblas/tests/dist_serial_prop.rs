@@ -2,9 +2,10 @@
 //! its serial counterpart on arbitrary inputs and grids.
 
 use dmsim::{run_spmd, Grid2d};
+use gblas::dist::dvec::block_range;
 use gblas::dist::{
-    dist_assign, dist_extract, dist_mxv, dist_mxv_dense, dist_mxv_sparse, DistMask, DistMat,
-    DistOpts, DistSpVec, DistVec, VecLayout,
+    dist_assign, dist_extract, dist_mxv, dist_mxv_dense, dist_mxv_dense_start, dist_mxv_sparse,
+    dist_mxv_start, DistMask, DistMat, DistOpts, DistSpVec, DistVec, VecLayout,
 };
 use gblas::serial::{self, Pattern, SparseVec};
 use gblas::{Mask, MinUsize};
@@ -16,6 +17,52 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
         proptest::collection::vec((0..n, 0..n), 0..150)
             .prop_map(move |pairs| CsrGraph::from_edges(EdgeList::from_pairs(n, pairs)))
     })
+}
+
+/// Graphs large enough that row blocks span several bitmap words at
+/// p ≤ 4 and chunk bounds fall inside words on every grid.
+fn arb_wide_graph() -> impl Strategy<Value = CsrGraph> {
+    (2usize..300).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n), 0..600)
+            .prop_map(move |pairs| CsrGraph::from_edges(EdgeList::from_pairs(n, pairs)))
+    })
+}
+
+/// The output-mask shapes a masked `mxv` must handle.
+#[derive(Clone, Copy, Debug)]
+enum MaskShape {
+    Empty,
+    SingleRow(usize),
+    /// Rows inside the block of one processor row only, so the other row
+    /// groups skip their reduce and transpose.
+    OneRowBlock(usize),
+    Full,
+    /// Three rows in four.
+    Scattered,
+}
+
+fn arb_mask_shape() -> impl Strategy<Value = MaskShape> {
+    prop_oneof![
+        Just(MaskShape::Empty),
+        (0usize..1000).prop_map(MaskShape::SingleRow),
+        (0usize..4).prop_map(MaskShape::OneRowBlock),
+        Just(MaskShape::Full),
+        Just(MaskShape::Scattered),
+    ]
+}
+
+fn mask_of(shape: MaskShape, n: usize, p: usize) -> Vec<bool> {
+    match shape {
+        MaskShape::Empty => vec![false; n],
+        MaskShape::SingleRow(r) => (0..n).map(|v| v == r % n).collect(),
+        MaskShape::OneRowBlock(b) => {
+            let pr = Grid2d::square(p).rows();
+            let (s, e) = block_range(n, pr, b % pr);
+            (0..n).map(|v| v >= s && v < e && v % 3 != 1).collect()
+        }
+        MaskShape::Full => vec![true; n],
+        MaskShape::Scattered => (0..n).map(|v| v % 4 != 1).collect(),
+    }
 }
 
 fn arb_grid() -> impl Strategy<Value = usize> {
@@ -31,6 +78,121 @@ fn arb_layout(n: usize, p: usize) -> impl Strategy<Value = VecLayout> {
             VecLayout::new(n, grid)
         }
     })
+}
+
+/// Runs every masked `mxv` entry point — blocking and posted, dense,
+/// sparse and adaptive — with `mask` kept or complemented at `p` ranks.
+/// Returns each rank's five assembled results and the serial dense and
+/// sparse references they must equal bit for bit.
+#[allow(clippy::type_complexity)]
+fn masked_mxv_runs(
+    g: &CsrGraph,
+    p: usize,
+    opts: &DistOpts,
+    mask: &[bool],
+    complement: bool,
+    stride: usize,
+) -> (
+    Vec<[SparseVec<usize>; 5]>,
+    SparseVec<usize>,
+    SparseVec<usize>,
+) {
+    let n = g.num_vertices();
+    let x_global: Vec<usize> = (0..n).map(|v| v.wrapping_mul(37) % n).collect();
+    let entries: Vec<(usize, usize)> = (0..n).step_by(stride).map(|v| (v, v % 29)).collect();
+    let x_serial = SparseVec::from_entries(n, entries.clone());
+    let a_serial = Pattern::from_graph(g);
+    let smask = if complement {
+        Mask::Complement(mask)
+    } else {
+        Mask::Keep(mask)
+    };
+    let expect_dense = serial::mxv_dense(&a_serial, &x_global, smask, MinUsize);
+    let expect_sparse = serial::mxv_sparse(&a_serial, &x_serial, smask, MinUsize);
+    let outs = run_spmd(p, |c| {
+        let grid = Grid2d::square(p);
+        let layout = VecLayout::new(n, grid);
+        let a = DistMat::from_graph(g, grid, c.rank());
+        let x = DistVec::from_global(layout, c.rank(), &x_global);
+        let m = DistVec::from_global(layout, c.rank(), mask);
+        let mask = if complement {
+            DistMask::Complement(&m)
+        } else {
+            DistMask::Keep(&m)
+        };
+        let (s, e) = layout.range_of_rank(c.rank());
+        let local: Vec<(usize, usize)> = entries
+            .iter()
+            .copied()
+            .filter(|&(g, _)| g >= s && g < e)
+            .collect();
+        let xs = DistSpVec::from_local_entries(layout, c.rank(), local);
+        let dense = dist_mxv_dense(c, &a, &x, mask, MinUsize, opts).to_serial(c);
+        let dense_posted = dist_mxv_dense_start(c, &a, &x, mask, MinUsize, opts)
+            .wait(c)
+            .to_serial(c);
+        let sparse = dist_mxv_sparse(c, &a, &xs, mask, MinUsize, opts).to_serial(c);
+        let adaptive = dist_mxv(c, &a, &xs, mask, MinUsize, opts).to_serial(c);
+        let adaptive_posted = dist_mxv_start(c, &a, &xs, mask, MinUsize, opts)
+            .wait(c)
+            .to_serial(c);
+        [dense, dense_posted, sparse, adaptive, adaptive_posted]
+    })
+    .unwrap();
+    (outs, expect_dense, expect_sparse)
+}
+
+#[test]
+fn masked_mxv_shape_matrix_eq_serial() {
+    // The full cross product on one RMAT graph (n = 300: row blocks of
+    // several bitmap words, and chunk bounds off word edges on the 3×3
+    // grid), so every shape meets every grid, thread count and dispatch
+    // branch at least once.
+    let g = lacc_graph::generators::rmat(8, 6, lacc_graph::generators::RmatParams::graph500(), 3);
+    let g = CsrGraph::from_edges(EdgeList::from_pairs(
+        300,
+        g.edges().map(|(u, v)| (u + 20, v + 40)),
+    ));
+    let n = g.num_vertices();
+    let shapes = [
+        MaskShape::Empty,
+        MaskShape::SingleRow(0),
+        MaskShape::SingleRow(n - 1),
+        MaskShape::SingleRow(151),
+        MaskShape::OneRowBlock(0),
+        MaskShape::OneRowBlock(1),
+        MaskShape::OneRowBlock(3),
+        MaskShape::Full,
+        MaskShape::Scattered,
+    ];
+    for p in [1usize, 4, 9, 16] {
+        for threads in [1usize, 2, 4] {
+            for threshold in [0.0f64, 1.1] {
+                let opts = DistOpts {
+                    kernel_threads: threads,
+                    spmv_threshold: threshold,
+                    ..DistOpts::default()
+                };
+                for shape in shapes {
+                    for complement in [false, true] {
+                        let mask = mask_of(shape, n, p);
+                        let (outs, expect_dense, expect_sparse) =
+                            masked_mxv_runs(&g, p, &opts, &mask, complement, 2);
+                        let ctx = format!(
+                            "p={p} threads={threads} threshold={threshold} {shape:?} complement={complement}"
+                        );
+                        for [dense, dense_posted, sparse, adaptive, adaptive_posted] in outs {
+                            assert_eq!(dense, expect_dense, "dense {ctx}");
+                            assert_eq!(dense_posted, expect_dense, "dense_start {ctx}");
+                            assert_eq!(sparse, expect_sparse, "sparse {ctx}");
+                            assert_eq!(adaptive, expect_sparse, "adaptive {ctx}");
+                            assert_eq!(adaptive_posted, expect_sparse, "adaptive_start {ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -152,57 +314,33 @@ proptest! {
 
     #[test]
     fn mxv_parallel_and_adaptive_eq_serial(
-        g in arb_graph(),
+        g in arb_wide_graph(),
         p in arb_grid(),
         threads in prop_oneof![Just(1usize), Just(2), Just(4)],
         threshold in prop_oneof![Just(0.0f64), Just(0.5), Just(1.1)],
         stride in 1usize..4,
-        masked in proptest::bool::ANY,
+        shape in arb_mask_shape(),
+        complement in proptest::bool::ANY,
     ) {
-        // Dense SpMV, SpMSpV, and the adaptive dispatcher must all be
-        // bit-identical to serial for every kernel-thread count and every
-        // dispatch threshold (0.0 forces the dense-style branch, 1.1 the
-        // sparse branch).
-        let n = g.num_vertices();
-        let x_global: Vec<usize> = (0..n).map(|v| v.wrapping_mul(31) % n).collect();
-        let entries: Vec<(usize, usize)> = (0..n).step_by(stride).map(|v| (v, v % 23)).collect();
-        let mask_global: Vec<bool> = (0..n).map(|v| !masked || v % 4 != 1).collect();
-        let x_serial = SparseVec::from_entries(n, entries.clone());
-        let a_serial = Pattern::from_graph(&g);
-        let expect_dense =
-            serial::mxv_dense(&a_serial, &x_global, Mask::Keep(&mask_global), MinUsize);
-        let expect_sparse =
-            serial::mxv_sparse(&a_serial, &x_serial, Mask::Keep(&mask_global), MinUsize);
+        // Dense SpMV, SpMSpV, and the adaptive dispatcher, blocking and
+        // posted, must all be bit-identical to serial for every
+        // kernel-thread count, every dispatch threshold (0.0 forces the
+        // dense-style branch, 1.1 the sparse branch) and every mask shape,
+        // kept or complemented.
         let opts = DistOpts {
             kernel_threads: threads,
             spmv_threshold: threshold,
             ..DistOpts::default()
         };
-        let (gref, xr, er, mr) = (&g, &x_global, &entries, &mask_global);
-        let out = run_spmd(p, move |c| {
-            let grid = Grid2d::square(p);
-            let layout = VecLayout::new(n, grid);
-            let a = DistMat::from_graph(gref, grid, c.rank());
-            let x = DistVec::from_global(layout, c.rank(), xr);
-            let m = DistVec::from_global(layout, c.rank(), mr);
-            let dense =
-                dist_mxv_dense(c, &a, &x, DistMask::Keep(&m), MinUsize, &opts).to_serial(c);
-            let (s, e) = layout.range_of_rank(c.rank());
-            let local: Vec<(usize, usize)> =
-                er.iter().copied().filter(|&(g, _)| g >= s && g < e).collect();
-            let xs = DistSpVec::from_local_entries(layout, c.rank(), local.clone());
-            let sparse =
-                dist_mxv_sparse(c, &a, &xs, DistMask::Keep(&m), MinUsize, &opts).to_serial(c);
-            let xs2 = DistSpVec::from_local_entries(layout, c.rank(), local);
-            let adaptive =
-                dist_mxv(c, &a, &xs2, DistMask::Keep(&m), MinUsize, &opts).to_serial(c);
-            (dense, sparse, adaptive)
-        })
-        .unwrap();
-        for (dense, sparse, adaptive) in out {
+        let mask = mask_of(shape, g.num_vertices(), p);
+        let (outs, expect_dense, expect_sparse) =
+            masked_mxv_runs(&g, p, &opts, &mask, complement, stride);
+        for [dense, dense_posted, sparse, adaptive, adaptive_posted] in outs {
             prop_assert_eq!(&dense, &expect_dense);
+            prop_assert_eq!(&dense_posted, &expect_dense);
             prop_assert_eq!(&sparse, &expect_sparse);
             prop_assert_eq!(&adaptive, &expect_sparse);
+            prop_assert_eq!(&adaptive_posted, &expect_sparse);
         }
     }
 
