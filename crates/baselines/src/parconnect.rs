@@ -30,7 +30,7 @@ use gblas::dist::{
     dist_assign, dist_extract, dist_mxv_sparse, DistMask, DistMat, DistOpts, DistSpVec, DistVec,
     VecLayout,
 };
-use gblas::MinUsize;
+use gblas::{Accum, MinUsize};
 use lacc_graph::CsrGraph;
 use std::time::Instant;
 
@@ -168,7 +168,7 @@ fn spmd(comm: &mut Comm, g: &CsrGraph, seed: Vid) -> RankOut {
             .map(|(&(u, _), &fv)| (f.get_local(u), fv))
             .collect();
         comm.charge_compute(tuples.len() as u64 + 1);
-        changed += dist_assign(comm, &mut f, &hooks, MinUsize, &opts).0 as u64;
+        changed += dist_assign(comm, &mut f, &hooks, MinUsize, Accum::Replace, &opts).0 as u64;
 
         // Aggressive side: vertices adopt the smaller label directly.
         for (&(u, _), &fv) in tuples.iter().zip(&fv_vals) {

@@ -38,7 +38,7 @@
 
 use dmsim::{TraceLevel, TraceSink};
 use gblas::dist::DistOpts;
-use lacc::{IndexWidth, LaccOpts};
+use lacc::{EngineKind, IndexWidth, LaccOpts};
 use lacc_graph::generators::{rmat, RmatParams};
 use std::io::Write;
 
@@ -131,6 +131,7 @@ fn main() {
         let opts = LaccOpts {
             dist,
             index_width: width,
+            engine: EngineKind::Lacc,
             ..LaccOpts::default()
         };
         let sink = TraceSink::new(TraceLevel::Collectives);

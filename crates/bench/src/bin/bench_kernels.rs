@@ -248,7 +248,13 @@ fn main() {
     if let Some(trace) = lacc_bench::trace_config() {
         let scale = scales().iter().copied().min().unwrap_or(12).min(12);
         let g = rmat(scale, 16, RmatParams::graph500(), 7);
-        let cfg = lacc::RunConfig::new(4, lacc_bench::default_model()).with_trace(trace.sink());
+        let opts = lacc::LaccOpts {
+            engine: lacc::EngineKind::Lacc,
+            ..lacc::LaccOpts::default()
+        };
+        let cfg = lacc::RunConfig::new(4, lacc_bench::default_model())
+            .with_opts(opts)
+            .with_trace(trace.sink());
         lacc::run(&g, &cfg).expect("distributed LACC rank panicked");
         trace.finish();
     }

@@ -12,7 +12,7 @@
 
 use dmsim::{AllToAll, EDISON};
 use gblas::dist::DistOpts;
-use lacc::LaccOpts;
+use lacc::{EngineKind, LaccOpts};
 use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
 
@@ -54,8 +54,14 @@ fn main() {
         ]);
     };
 
+    // Every row but the FastSV extension ablates the paper's engine.
+    let lacc_opts = LaccOpts {
+        engine: EngineKind::Lacc,
+        ..LaccOpts::default()
+    };
+
     // 1. Sparsity.
-    run_cfg("LACC (all optimizations)", LaccOpts::default());
+    run_cfg("LACC (all optimizations)", lacc_opts);
     run_cfg("dense AS (no sparsity)", LaccOpts::dense_as());
 
     // 2. All-to-all algorithms (sparsity on).
@@ -70,7 +76,7 @@ fn main() {
                 alltoall: algo,
                 ..DistOpts::default()
             },
-            ..LaccOpts::default()
+            ..lacc_opts
         };
         run_cfg(name, opts);
     }
@@ -83,7 +89,7 @@ fn main() {
                 hot_bcast: false,
                 ..DistOpts::default()
             },
-            ..LaccOpts::default()
+            ..lacc_opts
         },
     );
     for h in [1.0, 2.0, 4.0, 16.0] {
@@ -92,7 +98,7 @@ fn main() {
                 hot_threshold: h,
                 ..DistOpts::default()
             },
-            ..LaccOpts::default()
+            ..lacc_opts
         };
         run_cfg(&format!("hot threshold h = {h}"), opts);
     }
@@ -111,7 +117,7 @@ fn main() {
                 fuse_starcheck: fuse,
                 ..DistOpts::default()
             },
-            ..LaccOpts::default()
+            ..lacc_opts
         };
         run_cfg(name, opts);
     }
@@ -125,7 +131,7 @@ fn main() {
     ] {
         let opts = LaccOpts {
             index_width: width,
-            ..LaccOpts::default()
+            ..lacc_opts
         };
         run_cfg(name, opts);
     }
@@ -135,7 +141,7 @@ fn main() {
 
     // Extension: the first-class distributed FastSV engine (the LAGraph
     // successor) on the same substrate and machine model.
-    let fsv_opts = LaccOpts::builder().engine(lacc::EngineKind::Fastsv).build();
+    let fsv_opts = LaccOpts::builder().engine(EngineKind::Fastsv).build();
     run_cfg("FastSV engine (extension)", fsv_opts);
 
     let header = ["configuration", "modeled s", "iterations", "sim wall s"];

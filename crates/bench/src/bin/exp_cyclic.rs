@@ -8,7 +8,7 @@
 //! time — exposing the trade: balance improves, but `mxv` loses its
 //! grid-aligned gather and must collect vector pieces world-wide.
 
-use lacc::{LaccOpts, LaccRun};
+use lacc::{EngineKind, LaccOpts, LaccRun};
 use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
 use lacc_graph::generators::{rmat, RmatParams};
@@ -77,6 +77,7 @@ fn main() {
             let opts = LaccOpts {
                 permute: false,
                 cyclic_vectors: cyclic,
+                engine: EngineKind::Lacc,
                 dist: gblas::dist::DistOpts {
                     hot_bcast: hot,
                     ..gblas::dist::DistOpts::default()

@@ -7,14 +7,17 @@
 //! by what factor, and where curves flatten is the reproduced shape.
 
 use dmsim::EDISON;
-use lacc::LaccOpts;
+use lacc::{EngineKind, LaccOpts};
 use lacc_bench::*;
 use lacc_graph::generators::suite::suite_small;
 
 fn main() {
     let nodes = scaling_nodes();
     let shrink = shrink();
-    let opts = LaccOpts::default();
+    let opts = LaccOpts {
+        engine: EngineKind::Lacc,
+        ..LaccOpts::default()
+    };
     let trace = trace_config();
     let header = [
         "graph",

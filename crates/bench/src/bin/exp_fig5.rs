@@ -7,14 +7,17 @@
 //! and both run slower than on Edison for the same node count.
 
 use dmsim::CORI_KNL;
-use lacc::LaccOpts;
+use lacc::{EngineKind, LaccOpts};
 use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
 
 fn main() {
     let nodes = scaling_nodes();
     let shrink = shrink();
-    let opts = LaccOpts::default();
+    let opts = LaccOpts {
+        engine: EngineKind::Lacc,
+        ..LaccOpts::default()
+    };
     let trace = trace_config();
     let names = ["archaea", "eukarya", "M3", "iso_m100"];
     let header = [

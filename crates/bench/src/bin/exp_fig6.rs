@@ -8,7 +8,7 @@
 //! modeled time at the simulated rank count.
 
 use dmsim::CORI_KNL;
-use lacc::LaccOpts;
+use lacc::{EngineKind, LaccOpts};
 use lacc_bench::*;
 use lacc_graph::generators::suite::suite_big;
 
@@ -19,7 +19,10 @@ fn main() {
         vec![4, 16, 64, 256]
     };
     let shrink = shrink();
-    let opts = LaccOpts::default();
+    let opts = LaccOpts {
+        engine: EngineKind::Lacc,
+        ..LaccOpts::default()
+    };
     let trace = trace_config();
     let header = [
         "graph",

@@ -8,14 +8,17 @@
 //! cheap thanks to the adaptive communication.
 
 use dmsim::{CORI_KNL, EDISON};
-use lacc::LaccOpts;
+use lacc::{EngineKind, LaccOpts};
 use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
 
 fn main() {
     let nodes = scaling_nodes();
     let shrink = shrink();
-    let opts = LaccOpts::default();
+    let opts = LaccOpts {
+        engine: EngineKind::Lacc,
+        ..LaccOpts::default()
+    };
     let trace = trace_config();
     let names = ["eukarya", "sk-2005", "MOLIERE_2016"];
     let header = [

@@ -616,51 +616,52 @@ mod tests {
         std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n").unwrap();
         let narrow = dir.join("narrow.txt").display().to_string();
         let wide = dir.join("wide.txt").display().to_string();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--index-width",
-            "u32",
-            "--out",
-            &narrow,
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--index-width",
-            "u64",
-            "--out",
-            &wide,
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&narrow).unwrap(),
-            std::fs::read(&wide).unwrap(),
-            "index width changed the labels"
-        );
+        for eng in ["lacc", "fastsv"] {
+            for (width, out) in [("u32", &narrow), ("u64", &wide)] {
+                dispatch(&argv(&[
+                    "cc-dist",
+                    &p,
+                    "--ranks",
+                    "4",
+                    "--engine",
+                    eng,
+                    "--index-width",
+                    width,
+                    "--out",
+                    out,
+                ]))
+                .unwrap();
+            }
+            assert_eq!(
+                std::fs::read(&narrow).unwrap(),
+                std::fs::read(&wide).unwrap(),
+                "index width changed the {eng} labels"
+            );
+        }
     }
 
     #[test]
     fn cc_dist_labels_identical_with_combining_on_and_off() {
         // The CI smoke check in miniature: the combining stack must not
-        // change a single output byte.
+        // change a single output byte. `--fuse-starcheck` only acts on
+        // LACC, so both runs pin it.
         let dir = std::env::temp_dir().join("lacc-cli-test6");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();
         std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n").unwrap();
         let on = dir.join("on.txt").display().to_string();
         let off = dir.join("off.txt").display().to_string();
-        dispatch(&argv(&["cc-dist", &p, "--ranks", "4", "--out", &on])).unwrap();
+        dispatch(&argv(&[
+            "cc-dist", &p, "--ranks", "4", "--engine", "lacc", "--out", &on,
+        ]))
+        .unwrap();
         dispatch(&argv(&[
             "cc-dist",
             &p,
             "--ranks",
             "4",
+            "--engine",
+            "lacc",
             "--combine-in-flight",
             "false",
             "--fuse-starcheck",
@@ -686,33 +687,28 @@ mod tests {
         std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n").unwrap();
         let on = dir.join("on.txt").display().to_string();
         let off = dir.join("off.txt").display().to_string();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--overlap",
-            "true",
-            "--out",
-            &on,
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--overlap",
-            "false",
-            "--out",
-            &off,
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&on).unwrap(),
-            std::fs::read(&off).unwrap(),
-            "overlap changed the labels"
-        );
+        for eng in ["lacc", "fastsv"] {
+            for (overlap, out) in [("true", &on), ("false", &off)] {
+                dispatch(&argv(&[
+                    "cc-dist",
+                    &p,
+                    "--ranks",
+                    "4",
+                    "--engine",
+                    eng,
+                    "--overlap",
+                    overlap,
+                    "--out",
+                    out,
+                ]))
+                .unwrap();
+            }
+            assert_eq!(
+                std::fs::read(&on).unwrap(),
+                std::fs::read(&off).unwrap(),
+                "overlap changed the {eng} labels"
+            );
+        }
         assert!(dispatch(&argv(&["cc-dist", &p, "--overlap", "maybe"])).is_err());
     }
 
@@ -754,11 +750,17 @@ mod tests {
         let p = dir.join("t.el").display().to_string();
         std::fs::write(&p, "0 1\n1 2\n3 4\n").unwrap();
         let out = dir.join("trace.json").display().to_string();
-        dispatch(&argv(&["cc-dist", &p, "--ranks", "4", "--trace", &out])).unwrap();
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        for name in ["cond_hook", "uncond_hook", "shortcut", "starcheck"] {
-            assert!(json.contains(name), "trace missing {name} spans");
+        for eng in ["lacc", "fastsv"] {
+            dispatch(&argv(&[
+                "cc-dist", &p, "--ranks", "4", "--engine", eng, "--trace", &out,
+            ]))
+            .unwrap();
+            let json = std::fs::read_to_string(&out).unwrap();
+            assert!(json.starts_with("{\"traceEvents\":["));
+            for name in ["cond_hook", "uncond_hook", "shortcut", "starcheck"] {
+                assert!(json.contains(name), "{eng} trace missing {name} spans");
+            }
+            assert!(json.contains(&format!("engine({eng})")), "{eng}");
         }
         // `--trace-level off` suppresses the file entirely.
         let out2 = dir.join("trace2.json").display().to_string();

@@ -269,11 +269,24 @@ mod tests {
         out
     }
 
+    /// The tests below that run the default options run them under both
+    /// the default engine and LACC, so each keeps checking LACC.
+    const ENGINES: [EngineKind; 2] = [EngineKind::Lacc, EngineKind::Fastsv];
+
+    fn engine_opts(engine: EngineKind) -> LaccOpts {
+        LaccOpts {
+            engine,
+            ..LaccOpts::default()
+        }
+    }
+
     #[test]
     fn correct_across_grid_sizes() {
         let g = erdos_renyi_gnm(200, 300, 5);
-        for p in [1, 4, 9, 16] {
-            check(&g, p, &LaccOpts::default());
+        for engine in ENGINES {
+            for p in [1, 4, 9, 16] {
+                check(&g, p, &engine_opts(engine));
+            }
         }
     }
 
@@ -281,6 +294,7 @@ mod tests {
     fn bit_identical_to_serial_without_permutation() {
         let opts = LaccOpts {
             permute: false,
+            engine: EngineKind::Lacc,
             ..LaccOpts::default()
         };
         for seed in 0..3 {
@@ -304,15 +318,18 @@ mod tests {
     #[test]
     fn permutation_preserves_partition() {
         let g = rmat(8, 4, RmatParams::graph500(), 9);
-        let run = check(&g, 4, &LaccOpts::default());
-        assert!(run.num_iterations() > 0);
+        for engine in ENGINES {
+            let run = check(&g, 4, &engine_opts(engine));
+            assert!(run.num_iterations() > 0);
+        }
     }
 
     #[test]
     fn works_with_all_comm_configs() {
         let g = metagenome_graph(800, 6, 0.01, 3);
         for opts in [
-            LaccOpts::default(),
+            engine_opts(EngineKind::Lacc),
+            engine_opts(EngineKind::Fastsv),
             LaccOpts::naive_comm(),
             LaccOpts::dense_as(),
         ] {
@@ -323,63 +340,74 @@ mod tests {
     #[test]
     fn path_worst_case_distributed() {
         let g = path_graph(1000);
-        let run = check(&g, 16, &LaccOpts::default());
-        assert_eq!(run.num_components(), 1);
-        assert!(run.modeled_total_s > 0.0);
+        for engine in ENGINES {
+            let run = check(&g, 16, &engine_opts(engine));
+            assert_eq!(run.num_components(), 1);
+            assert!(run.modeled_total_s > 0.0);
+        }
     }
 
     #[test]
     fn stats_are_populated() {
         let g = community_graph(2000, 100, 3.0, 1.4, 8);
-        let run = check(&g, 4, &LaccOpts::default());
-        assert_eq!(run.p, 4);
-        let last = run.iters.last().unwrap();
-        assert_eq!(last.converged_after, 2000);
-        assert_eq!(run.iters[0].extract_received.len(), 4);
-        assert!(run.breakdown().total() > 0.0);
-        assert!(run.modeled_total_s >= run.breakdown().total() * 0.5);
+        for engine in ENGINES {
+            let run = check(&g, 4, &engine_opts(engine));
+            assert_eq!(run.p, 4);
+            let last = run.iters.last().unwrap();
+            assert_eq!(last.converged_after, 2000);
+            assert_eq!(run.iters[0].extract_received.len(), 4);
+            assert!(run.breakdown().total() > 0.0);
+            assert!(run.modeled_total_s >= run.breakdown().total() * 0.5);
+        }
     }
 
     #[test]
     fn single_vertex_and_empty() {
-        check(
-            &CsrGraph::from_edges(lacc_graph::EdgeList::new(1)),
-            4,
-            &LaccOpts::default(),
-        );
-        check(
-            &CsrGraph::from_edges(lacc_graph::EdgeList::new(0)),
-            1,
-            &LaccOpts::default(),
-        );
+        for engine in ENGINES {
+            let opts = engine_opts(engine);
+            check(
+                &CsrGraph::from_edges(lacc_graph::EdgeList::new(1)),
+                4,
+                &opts,
+            );
+            check(
+                &CsrGraph::from_edges(lacc_graph::EdgeList::new(0)),
+                1,
+                &opts,
+            );
+        }
     }
 
     #[test]
     fn more_ranks_than_vertices() {
         let g = path_graph(7);
-        check(&g, 16, &LaccOpts::default());
+        for engine in ENGINES {
+            check(&g, 16, &engine_opts(engine));
+        }
     }
 
     #[test]
     fn cyclic_vectors_match_blocked_bitwise() {
         // §VII future-work layout: a different distribution must change
         // communication, never results — with permutation disabled the
-        // parent vectors are bit-identical.
-        for seed in 0..2 {
-            let g = community_graph(700, 35, 3.0, 1.4, seed);
-            let blocked = LaccOpts {
-                permute: false,
-                ..LaccOpts::default()
-            };
-            let cyclic = LaccOpts {
-                permute: false,
-                cyclic_vectors: true,
-                ..LaccOpts::default()
-            };
-            for p in [4, 9, 16] {
-                let a = run_with(&g, p, &blocked);
-                let b = run_with(&g, p, &cyclic);
-                assert_eq!(a.labels, b.labels, "seed={seed} p={p}");
+        // parent vectors are bit-identical (LACC's raw root ids as well as
+        // FastSV's component minima).
+        for engine in ENGINES {
+            for seed in 0..2 {
+                let g = community_graph(700, 35, 3.0, 1.4, seed);
+                let blocked = LaccOpts {
+                    permute: false,
+                    ..engine_opts(engine)
+                };
+                let cyclic = LaccOpts {
+                    cyclic_vectors: true,
+                    ..blocked
+                };
+                for p in [4, 9, 16] {
+                    let a = run_with(&g, p, &blocked);
+                    let b = run_with(&g, p, &cyclic);
+                    assert_eq!(a.labels, b.labels, "{engine} seed={seed} p={p}");
+                }
             }
         }
     }
@@ -400,7 +428,8 @@ mod tests {
         for seed in 0..2 {
             let g = community_graph(500, 25, 3.0, 1.4, seed);
             for base in [
-                LaccOpts::default(),
+                engine_opts(EngineKind::Lacc),
+                engine_opts(EngineKind::Fastsv),
                 LaccOpts::naive_comm(),
                 LaccOpts::cyclic(),
             ] {
@@ -427,6 +456,7 @@ mod tests {
         let opts = LaccOpts {
             permute: false,
             index_width: IndexWidth::U32,
+            engine: EngineKind::Lacc,
             ..LaccOpts::default()
         };
         let g = community_graph(600, 30, 3.0, 1.4, 1);
@@ -442,7 +472,10 @@ mod tests {
         // statistic, bit for bit.
         use dmsim::TraceLevel;
         let g = rmat(8, 4, RmatParams::graph500(), 11);
-        let opts = LaccOpts::default();
+        let opts = LaccOpts {
+            engine: EngineKind::Lacc,
+            ..LaccOpts::default()
+        };
         let off = run_with(&g, 4, &opts);
         let sink = TraceSink::new(TraceLevel::Collectives);
         let on = run(
@@ -484,37 +517,39 @@ mod tests {
     fn rerun_entry_is_bit_identical_and_tagged() {
         use dmsim::TraceLevel;
         let g = rmat(8, 4, RmatParams::graph500(), 13);
-        let opts = LaccOpts::default();
-        let plain = run_with(&g, 4, &opts);
-        let sink = TraceSink::new(TraceLevel::Steps);
-        let rerun = run(
-            &g,
-            &RunConfig::new(4, model())
-                .with_opts(opts)
-                .with_trace(&sink)
-                .with_rerun(RerunReason::Deletion),
-        )
-        .unwrap();
-        // The rerun wrapper is observational: same labels, same clock.
-        assert_eq!(plain.labels, rerun.labels);
-        assert_eq!(plain.modeled_total_s, rerun.modeled_total_s);
-        let report = sink.report();
-        assert_eq!(report.reruns, 1);
-        assert!(report.kind_time_s("rerun(deletion)") > 0.0);
-        assert_eq!(report.kind_time_s("rerun(staleness)"), 0.0);
-        // Two reruns into the same sink accumulate, and the max-over-ranks
-        // aggregation counts each p-rank rebuild once.
-        run(
-            &g,
-            &RunConfig::new(4, model())
-                .with_opts(opts)
-                .with_trace(&sink)
-                .with_rerun(RerunReason::Staleness),
-        )
-        .unwrap();
-        let report = sink.report();
-        assert_eq!(report.reruns, 2);
-        assert!(report.kind_time_s("rerun(staleness)") > 0.0);
+        for engine in ENGINES {
+            let opts = engine_opts(engine);
+            let plain = run_with(&g, 4, &opts);
+            let sink = TraceSink::new(TraceLevel::Steps);
+            let rerun = run(
+                &g,
+                &RunConfig::new(4, model())
+                    .with_opts(opts)
+                    .with_trace(&sink)
+                    .with_rerun(RerunReason::Deletion),
+            )
+            .unwrap();
+            // The rerun wrapper is observational: same labels, same clock.
+            assert_eq!(plain.labels, rerun.labels);
+            assert_eq!(plain.modeled_total_s, rerun.modeled_total_s);
+            let report = sink.report();
+            assert_eq!(report.reruns, 1);
+            assert!(report.kind_time_s("rerun(deletion)") > 0.0);
+            assert_eq!(report.kind_time_s("rerun(staleness)"), 0.0);
+            // Two reruns into the same sink accumulate, and the max-over-ranks
+            // aggregation counts each p-rank rebuild once.
+            run(
+                &g,
+                &RunConfig::new(4, model())
+                    .with_opts(opts)
+                    .with_trace(&sink)
+                    .with_rerun(RerunReason::Staleness),
+            )
+            .unwrap();
+            let report = sink.report();
+            assert_eq!(report.reruns, 2);
+            assert!(report.kind_time_s("rerun(staleness)") > 0.0);
+        }
     }
 
     #[test]

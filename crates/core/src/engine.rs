@@ -8,12 +8,12 @@
 //! `Idx` indices — for free. [`run_engine`] is the one dispatch point:
 //!
 //! * [`EngineKind::Lacc`] — the paper's Awerbuch–Shiloach formulation with
-//!   Lemma-1 converged-component retirement; fastest when the graph has
-//!   many components to retire.
-//! * [`EngineKind::Fastsv`] — FastSV (Zhang, Azad & Hu): stochastic
-//!   hooking, aggressive hooking, and shortcutting on a grandparent
-//!   vector; no star machinery, so fewer and cheaper supersteps per round
-//!   on graphs dominated by one giant component.
+//!   Lemma-1 converged-component retirement; the engine the paper
+//!   reproductions and ablations pin.
+//! * [`EngineKind::Fastsv`] (the default) — FastSV (Zhang, Azad & Hu):
+//!   stochastic hooking, aggressive hooking, and shortcutting on a
+//!   grandparent vector; no star machinery, and each round after the first
+//!   multiplies only the grandparents that changed.
 //! * [`EngineKind::LabelProp`] — one closed-neighborhood min per round;
 //!   converges in O(diameter) rounds, unbeatable on low-diameter graphs.
 //!
@@ -28,11 +28,11 @@ use crate::stats::StepBreakdown;
 use crate::Vid;
 use dmsim::{Comm, EngineKind, Grid2d, SpanKind, WireWord};
 use gblas::dist::{
-    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense,
+    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_counted, dist_mxv_dense,
     dist_mxv_dense_start, dist_mxv_start, plan_requests, DistMask, DistMat, DistOpts, DistSpVec,
     DistVec, FusedExtract, VecLayout,
 };
-use gblas::{AndBool, MinUsize};
+use gblas::{Accum, AndBool, MinUsize};
 use lacc_graph::{CsrGraph, Idx};
 
 /// Per-rank, per-iteration record produced inside an engine's SPMD body.
@@ -47,7 +47,9 @@ pub struct EngineIter {
     pub active_before: usize,
     /// Cumulative vertices known converged after the iteration.
     pub converged_after: usize,
-    /// Whether the main `mxv` took the dense (SpMV) path.
+    /// Whether the main `mxv` took the dense (SpMV) path. For FastSV:
+    /// round 1's SpMV, then the branch the incremental product took
+    /// (false when no grandparent changed and no product ran).
     pub spmv_dense: bool,
     /// Updates applied in the "conditional hooking" bucket.
     pub cond_changed: u64,
@@ -184,7 +186,7 @@ fn starcheck_dist<I: Idx + WireWord>(
             }
         }
         comm.charge_compute(local_active.len() as u64 + 1);
-        dist_assign(comm, star, &demote, AndBool, dist_opts);
+        dist_assign(comm, star, &demote, AndBool, Accum::Replace, dist_opts);
         let parent_star = fx.extract(comm, star, &plan);
         for (&o, &ps) in local_active.iter().zip(&parent_star) {
             star.local_mut()[o] = star.local_mut()[o] && ps;
@@ -204,7 +206,7 @@ fn starcheck_dist<I: Idx + WireWord>(
         }
     }
     comm.charge_compute(local_active.len() as u64 + 1);
-    dist_assign(comm, star, &demote, AndBool, dist_opts);
+    dist_assign(comm, star, &demote, AndBool, Accum::Replace, dist_opts);
     // star[v] ← star[v] ∧ star[f[v]].
     let (parent_star, st2) = dist_extract_planned(comm, star, &plan, dist_opts);
     for (&o, &ps) in local_active.iter().zip(&parent_star) {
@@ -325,7 +327,14 @@ fn lacc<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
                 })
                 .map(|&(v, _)| (f.get_local(v.idx()), false))
                 .collect();
-            dist_assign(ctx.comm, &mut root_quiet, &demote, AndBool, dopts);
+            dist_assign(
+                ctx.comm,
+                &mut root_quiet,
+                &demote,
+                AndBool,
+                Accum::Replace,
+                dopts,
+            );
             let (flags, st) = dist_extract_planned(ctx.comm, &root_quiet, plan, dopts);
             rec.extract_received += st.received_requests;
             for (&o, &quiet) in candidates.iter().zip(&flags) {
@@ -348,7 +357,8 @@ fn lacc<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
                 (fv, lo.min(fv))
             })
             .collect();
-        rec.cond_changed = dist_assign(ctx.comm, &mut f, &updates, MinUsize, dopts).0 as u64;
+        rec.cond_changed =
+            dist_assign(ctx.comm, &mut f, &updates, MinUsize, Accum::Replace, dopts).0 as u64;
         rec.modeled.cond_s += ctx.comm.span_close(span);
 
         let span = ctx.comm.span_open(SpanKind::Starcheck);
@@ -384,7 +394,8 @@ fn lacc<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
             .iter()
             .map(|&(v, m)| (f.get_local(v.idx()), m))
             .collect();
-        rec.uncond_changed = dist_assign(ctx.comm, &mut f, &updates2, MinUsize, dopts).0 as u64;
+        rec.uncond_changed =
+            dist_assign(ctx.comm, &mut f, &updates2, MinUsize, Accum::Replace, dopts).0 as u64;
         rec.modeled.uncond_s += ctx.comm.span_close(span);
 
         let span = ctx.comm.span_open(SpanKind::Starcheck);
@@ -453,12 +464,30 @@ fn lacc<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
 // FastSV
 // --------------------------------------------------------------------------
 
-/// FastSV (Zhang, Azad & Hu) as a first-class engine over the optimized
-/// `gblas::dist` primitives: the min-semiring `mxv` computes each
-/// vertex's minimum neighbor-grandparent, stochastic hooks route through
-/// the combining `dist_assign`, and the grandparent refresh is a planned
-/// extract (in-flight combining applies). Labels converge to component
-/// minima.
+/// FastSV (Zhang, Azad & Hu), the default engine, over the optimized
+/// `gblas::dist` primitives. Labels converge to component minima. Every
+/// update below is a `min`, so `f` and the grandparent vector `gf` never
+/// rise, and each round does only the work that can still change
+/// something:
+///
+/// * `mngf[u]`, the minimum neighbour grandparent `A ⊕.min gf`, persists
+///   across rounds. Round 1 computes it with one SpMV over `gf`. Later
+///   rounds run [`dist_mxv`] over just the `(v, gf[v])` entries the last
+///   grandparent refresh changed and fold the product into `mngf` with
+///   `min`. Because `gf` only falls, `min(mngf_old[u], min over changed v
+///   of gf[v])` equals the full product.
+/// * Stochastic hooking `f[f[u]] ← min(f[f[u]], mngf[u])` routes through
+///   the combining [`dist_assign`] with [`Accum::Fold`], so a hook never
+///   raises a parent. Hook targets are the start-of-round parents.
+/// * Aggressive hooking `f[u] ← min(f[u], mngf[u])`.
+///
+///   Both hooks visit only the rows whose `mngf` fell this round, and
+///   stochastic hooking sends only rows with `mngf[u] < f[u]`. Aggressive
+///   hooking leaves `f[u] ≤ mngf[u]` on every row it visits, and `f` only
+///   falls, so on any other row both hooks are no-ops (a hook with
+///   `mngf[u] ≥ f[u]` folds into `f[f[u]] ≤ f[u]`).
+/// * Shortcutting `f[u] ← min(f[u], gf[u])`, then the grandparent refresh
+///   `gf[u] ← f[f[u]]` as a planned extract (in-flight combining applies).
 ///
 /// Step-bucket mapping (Figure-8 schema reinterpreted): `cond` = the
 /// `mxv` + stochastic hooking, `uncond` = aggressive hooking, `shortcut`
@@ -473,6 +502,13 @@ fn fastsv<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
     let mut f: DistVec<I> = DistVec::from_fn(layout, rank, I::from_usize);
     let mut gf: DistVec<I> = DistVec::from_fn(layout, rank, I::from_usize);
     let nlocal = f.local().len();
+    // The min identity marks rows without neighbours (no product entry).
+    let none = I::max_value();
+    let mut mngf: Vec<I> = vec![none; nlocal];
+    // Offsets whose grandparent the last refresh changed, and the global
+    // count of such entries.
+    let mut gf_moved: Vec<usize> = Vec::new();
+    let mut gf_moved_global = 0usize;
     let world = ctx.comm.world();
     let max_rounds = 8 * (usize::BITS - n.leading_zeros()) as usize + 32;
     let mut iters: Vec<EngineIter> = Vec::new();
@@ -481,24 +517,56 @@ fn fastsv<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
         assert!(iters.len() < max_rounds, "FastSV did not converge");
         let mut rec = EngineIter {
             active_before: n,
-            spmv_dense: true,
             ..Default::default()
         };
 
-        // fn[u] = min over neighbors v of gf[v], then stochastic
-        // hooking f[f[u]] ← min(f[f[u]], fn[u]).
         let span = ctx.comm.span_open(SpanKind::CondHook);
-        let fn_vec: DistSpVec<I, I> =
-            dist_mxv_dense(ctx.comm, &ctx.a, &gf, DistMask::None, MinUsize, dopts);
-        let hooks: Vec<(I, I)> = fn_vec
-            .entries()
+        // Round 1 is an SpMV over `gf`; later rounds multiply only the
+        // changed grandparents, whose global count the last convergence
+        // allreduce already gave, and record the branch that ran.
+        let prod: DistSpVec<I, I>;
+        (prod, rec.spmv_dense) = if iters.is_empty() {
+            let prod = dist_mxv_dense(ctx.comm, &ctx.a, &gf, DistMask::None, MinUsize, dopts);
+            (prod, true)
+        } else if gf_moved_global > 0 {
+            let entries: Vec<(I, I)> = gf_moved
+                .iter()
+                .map(|&o| (I::from_usize(gf.global_of(o)), gf.local()[o]))
+                .collect();
+            ctx.comm.charge_compute(entries.len() as u64 + 1);
+            let x = DistSpVec::from_local_entries(layout, rank, entries);
+            dist_mxv_counted(
+                ctx.comm,
+                &ctx.a,
+                &x,
+                gf_moved_global,
+                DistMask::None,
+                MinUsize,
+                dopts,
+            )
+        } else {
+            (DistSpVec::empty(layout, rank), false)
+        };
+        // Fold the product into `mngf`; `moved` lists the rows that fell.
+        let mut moved: Vec<usize> = Vec::new();
+        for &(u, m) in prod.entries() {
+            let o = layout.offset_of(rank, u.idx());
+            if m < mngf[o] {
+                mngf[o] = m;
+                moved.push(o);
+            }
+        }
+        ctx.comm.charge_compute(prod.local_nvals() as u64 + 1);
+        // Stochastic hooking f[f[u]] ← min(f[f[u]], mngf[u]) over the
+        // rows whose `mngf` fell (no other row can change anything).
+        let hooks: Vec<(I, I)> = moved
             .iter()
-            .map(|&(u, m)| {
-                let fu = f.get_local(u.idx());
-                (fu, m.min(fu))
-            })
+            .map(|&o| (f.local()[o], mngf[o]))
+            .filter(|&(fu, m)| m < fu)
             .collect();
-        rec.cond_changed = dist_assign(ctx.comm, &mut f, &hooks, MinUsize, dopts).0 as u64;
+        ctx.comm.charge_compute(moved.len() as u64 + 1);
+        rec.cond_changed =
+            dist_assign(ctx.comm, &mut f, &hooks, MinUsize, Accum::Fold, dopts).0 as u64;
         rec.modeled.cond_s += ctx.comm.span_close(span);
 
         // The grandparent-refresh exchange below pipelines behind the
@@ -509,15 +577,16 @@ fn fastsv<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
         // the exchange for it (when `DistOpts::overlap` is on).
         let win = ctx.comm.overlap_window();
 
-        // Aggressive hooking: f[u] ← min(f[u], fn[u]) (local).
+        // Aggressive hooking: f[u] ← min(f[u], mngf[u]) (local), again
+        // over only the rows whose `mngf` fell.
         let span = ctx.comm.span_open(SpanKind::UncondHook);
-        for &(u, m) in fn_vec.entries() {
-            if m < f.get_local(u.idx()) {
-                f.set_local(u.idx(), m);
+        for &o in &moved {
+            if mngf[o] < f.local()[o] {
+                f.local_mut()[o] = mngf[o];
                 rec.uncond_changed += 1;
             }
         }
-        ctx.comm.charge_compute(fn_vec.local_nvals() as u64 + 1);
+        ctx.comm.charge_compute(moved.len() as u64 + 1);
         rec.modeled.uncond_s += ctx.comm.span_close(span);
 
         // Shortcutting: f[u] ← min(f[u], gf[u]) (local).
@@ -532,7 +601,8 @@ fn fastsv<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
         rec.modeled.shortcut_s += ctx.comm.span_close(span);
 
         // Grandparent maintenance: gf[u] ← f[f[u]] via a planned
-        // extract (requests combine like every other gather).
+        // extract (requests combine like every other gather), recording
+        // the offsets that changed for the next round's product.
         let span = ctx.comm.span_open(SpanKind::Starcheck);
         let reqs: Vec<I> = f.local().to_vec();
         let plan = plan_requests(ctx.comm, f.layout(), &reqs);
@@ -540,11 +610,11 @@ fn fastsv<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
             dist_extract_planned(c, &f, &plan, dopts)
         });
         rec.extract_received += st.received_requests;
-        let mut gf_changed = 0u64;
+        gf_moved.clear();
         for (o, &val) in new_gf.iter().enumerate() {
             if gf.local()[o] != val {
                 gf.local_mut()[o] = val;
-                gf_changed += 1;
+                gf_moved.push(o);
             }
         }
         ctx.comm.charge_compute(nlocal as u64 + 1);
@@ -556,7 +626,7 @@ fn fastsv<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
             rec.cond_changed,
             rec.uncond_changed,
             rec.shortcut_changed,
-            gf_changed,
+            gf_moved.len() as u64,
         ];
         let global = ctx.comm.allreduce(&world, local, |a, b| {
             [a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]]
@@ -564,6 +634,7 @@ fn fastsv<I: Idx + WireWord>(ctx: &mut EngineCtx<'_, I>) -> EngineRun {
         rec.cond_changed = global[0];
         rec.uncond_changed = global[1];
         rec.shortcut_changed = global[2];
+        gf_moved_global = global[3] as usize;
         let done = global[..4].iter().sum::<u64>() == 0;
         rec.converged_after = if done { n } else { 0 };
         iters.push(rec);

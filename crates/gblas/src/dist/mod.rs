@@ -18,7 +18,7 @@ pub mod ops;
 pub use dmat::DistMat;
 pub use dvec::{DistSpVec, DistVec, Distribution, VecLayout};
 pub use ops::{
-    dist_assign, dist_extract, dist_extract_planned, dist_extract_start, dist_mxv, dist_mxv_dense,
-    dist_mxv_dense_start, dist_mxv_sparse, dist_mxv_start, plan_requests, AssignStats, DistMask,
-    DistOpts, ExtractStats, FusedExtract, RequestPlan,
+    dist_assign, dist_extract, dist_extract_planned, dist_extract_start, dist_mxv,
+    dist_mxv_counted, dist_mxv_dense, dist_mxv_dense_start, dist_mxv_sparse, dist_mxv_start,
+    plan_requests, AssignStats, DistMask, DistOpts, ExtractStats, FusedExtract, RequestPlan,
 };

@@ -30,7 +30,7 @@
 use super::dmat::DistMat;
 use super::dvec::{block_range, DistSpVec, DistVec, Distribution, VecLayout};
 use crate::serial::{kernel_pool, Dcsc};
-use crate::types::Monoid;
+use crate::types::{Accum, Monoid};
 use crate::Vid;
 use dmsim::{AllToAll, CombineRoute, Comm, CommHandle, Grid2d, PooledBuf, SpanKind, WireWord};
 use lacc_graph::Idx;
@@ -1166,7 +1166,34 @@ where
     // branch goes through `mxv_sparse_impl` directly, not the public
     // wrapper, so the span is never doubled).
     let span = comm.span_open(SpanKind::Mxv);
-    let out = mxv_adaptive_impl(comm, a, x, mask, monoid, opts);
+    let nvals = input_nvals(comm, a, x);
+    let (out, _) = mxv_adaptive_impl(comm, a, x, nvals, mask, monoid, opts);
+    comm.span_close(span);
+    out
+}
+
+/// [`dist_mxv`] for a caller that already knows `x`'s global entry count
+/// `nvals` (for instance from its own convergence allreduce): the fill
+/// dispatch uses it instead of allreducing the count again. Also returns
+/// whether the SpMV-style branch ran, so the caller can record the
+/// dispatch without restating its rule. `nvals` must equal
+/// `x.global_nvals` on every rank.
+pub fn dist_mxv_counted<T, M, I>(
+    comm: &mut Comm,
+    a: &DistMat<I>,
+    x: &DistSpVec<T, I>,
+    nvals: usize,
+    mask: DistMask<'_>,
+    monoid: M,
+    opts: &DistOpts,
+) -> (DistSpVec<T, I>, bool)
+where
+    T: Copy + Send + Sync + 'static,
+    M: Monoid<T>,
+    I: Idx + WireWord,
+{
+    let span = comm.span_open(SpanKind::Mxv);
+    let out = mxv_adaptive_impl(comm, a, x, nvals, mask, monoid, opts);
     comm.span_close(span);
     out
 }
@@ -1196,20 +1223,39 @@ where
 {
     comm.post(opts.overlap, |c| {
         let span = c.span_open(SpanKind::Mxv);
-        let out = mxv_adaptive_impl(c, a, x, mask, monoid, opts);
+        let nvals = input_nvals(c, a, x);
+        let (out, _) = mxv_adaptive_impl(c, a, x, nvals, mask, monoid, opts);
         c.span_close(span);
         out
     })
 }
 
+/// The global entry count of `x` for the fill dispatch (one allreduce;
+/// none for an empty matrix).
+fn input_nvals<T: Copy + Send + 'static, I: Idx>(
+    comm: &mut Comm,
+    a: &DistMat<I>,
+    x: &DistSpVec<T, I>,
+) -> usize {
+    if a.n() == 0 {
+        0
+    } else {
+        x.global_nvals(comm)
+    }
+}
+
+/// The adaptive `mxv` given the input's global entry count `nvals`; the
+/// flag says whether the SpMV-style branch ran. This is the only place
+/// the branch is decided.
 fn mxv_adaptive_impl<T, M, I>(
     comm: &mut Comm,
     a: &DistMat<I>,
     x: &DistSpVec<T, I>,
+    nvals: usize,
     mask: DistMask<'_>,
     monoid: M,
     opts: &DistOpts,
-) -> DistSpVec<T, I>
+) -> (DistSpVec<T, I>, bool)
 where
     T: Copy + Send + Sync + 'static,
     M: Monoid<T>,
@@ -1218,13 +1264,9 @@ where
     let layout = x.layout();
     assert_eq!(layout.len(), a.n(), "matrix/vector dimension mismatch");
     let n = a.n();
-    let fill = if n == 0 {
-        0.0
-    } else {
-        x.global_nvals(comm) as f64 / n as f64
-    };
+    let fill = if n == 0 { 0.0 } else { nvals as f64 / n as f64 };
     if layout.distribution() == Distribution::Cyclic || fill < opts.spmv_threshold {
-        return mxv_sparse_impl(comm, a, x, mask, monoid, opts);
+        return (mxv_sparse_impl(comm, a, x, mask, monoid, opts), false);
     }
 
     // SpMV-style execution: same sparse allgather (posted, so the densify
@@ -1244,7 +1286,9 @@ where
     let (acc, touched, ops) = multiply_densified(a, &gathered, sel, monoid, opts.kernel_threads);
     comm.charge_compute(ops);
     gh.wait(comm);
-    spmspv_reduce_and_transpose(comm, a, layout, &acc, touched, rows.as_ref(), monoid, opts)
+    let out =
+        spmspv_reduce_and_transpose(comm, a, layout, &acc, touched, rows.as_ref(), monoid, opts);
+    (out, true)
 }
 
 /// The owner-bucketing of one extract request list, computed once by
@@ -1576,6 +1620,11 @@ impl<I: Idx + WireWord> FusedExtract<I> {
 /// targets (across all ranks) are resolved deterministically through the
 /// monoid, mirroring [`crate::serial::assign`].
 ///
+/// `accum` is the GraphBLAS accumulator: [`Accum::Replace`] writes the
+/// merged update as is, so it can raise a stored value; [`Accum::Fold`]
+/// makes the owner fold it into the stored value through the same monoid
+/// (`dst[g] = dst[g] ⊕ v`), so under `min` nothing ever rises.
+///
 /// Returns the number of *locally owned* elements whose value changed
 /// (callers allreduce this for the global convergence test) and the
 /// per-rank [`AssignStats`].
@@ -1584,6 +1633,7 @@ pub fn dist_assign<T, M, I>(
     dst: &mut DistVec<T>,
     updates: &[(I, T)],
     monoid: M,
+    accum: Accum,
     opts: &DistOpts,
 ) -> (usize, AssignStats)
 where
@@ -1592,7 +1642,7 @@ where
     I: Idx + WireWord,
 {
     let span = comm.span_open(SpanKind::Assign);
-    let out = assign_impl(comm, dst, updates, monoid, opts);
+    let out = assign_impl(comm, dst, updates, monoid, accum, opts);
     comm.span_close(span);
     out
 }
@@ -1602,6 +1652,7 @@ fn assign_impl<T, M, I>(
     dst: &mut DistVec<T>,
     updates: &[(I, T)],
     monoid: M,
+    accum: Accum,
     opts: &DistOpts,
 ) -> (usize, AssignStats)
 where
@@ -1609,6 +1660,19 @@ where
     M: Monoid<T>,
     I: Idx + WireWord,
 {
+    // The owner's write of one merged update; returns whether it changed
+    // the stored value.
+    let write = |dst: &mut DistVec<T>, g: Vid, v: T| {
+        let old = dst.get_local(g);
+        let new = match accum {
+            Accum::Replace => v,
+            Accum::Fold => monoid.combine(old, v),
+        };
+        if old != new {
+            dst.set_local(g, new);
+        }
+        old != new
+    };
     let layout = dst.layout();
     let world = comm.world();
     let mut stats = AssignStats::default();
@@ -1632,14 +1696,10 @@ where
         });
         stats.received_updates = merged.len() as u64;
         comm.charge_compute(stats.received_updates + 1);
-        let mut changed = 0;
-        for (k, v) in merged {
-            let g = k.idx();
-            if dst.get_local(g) != v {
-                dst.set_local(g, v);
-                changed += 1;
-            }
-        }
+        let changed = merged
+            .into_iter()
+            .filter(|&(k, v)| write(dst, k.idx(), v))
+            .count();
         return (changed, stats);
     }
 
@@ -1658,13 +1718,10 @@ where
     }
     stats.received_updates = nops;
     comm.charge_compute(nops + 1);
-    let mut changed = 0;
-    for (g, v) in combined {
-        if dst.get_local(g) != v {
-            dst.set_local(g, v);
-            changed += 1;
-        }
-    }
+    let changed = combined
+        .into_iter()
+        .filter(|&(g, v)| write(dst, g, v))
+        .count();
     (changed, stats)
 }
 
@@ -1797,7 +1854,9 @@ mod tests {
     fn adaptive_mxv_both_branches_match_sparse_bitwise() {
         // A ~60% fill input: threshold 0.9 forces the SpMSpV branch,
         // threshold 0.1 forces the SpMV-style branch. Both must equal the
-        // pure sparse path bit-for-bit, threaded or not.
+        // pure sparse path bit-for-bit, threaded or not, and the counted
+        // entry point (known entry count, no fill allreduce) must agree
+        // and report the branch it took.
         let g = erdos_renyi_gnm(48, 140, 17);
         let n = g.num_vertices();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(19);
@@ -1831,11 +1890,17 @@ mod tests {
                             .collect();
                         let x = DistSpVec::from_local_entries(layout, c.rank(), local);
                         let y = dist_mxv(c, &a, &x, DistMask::None, MinUsize, &opts);
-                        y.to_serial(c)
+                        let nvals = x_serial.nvals();
+                        let (z, dense) =
+                            dist_mxv_counted(c, &a, &x, nvals, DistMask::None, MinUsize, &opts);
+                        (y.to_serial(c), z.to_serial(c), dense)
                     })
                     .unwrap();
-                    for y in out {
-                        assert_eq!(y, expected, "p={p} threshold={threshold} threads={threads}");
+                    for (y, z, dense) in out {
+                        let at = format!("p={p} threshold={threshold} threads={threads}");
+                        assert_eq!(y, expected, "{at}");
+                        assert_eq!(z, expected, "{at}");
+                        assert_eq!(dense, threshold < 0.5, "{at}");
                     }
                 }
             }
@@ -1935,6 +2000,7 @@ mod tests {
                     &mut dst,
                     &all_updates[c.rank()],
                     MinUsize,
+                    Accum::Replace,
                     &DistOpts::default(),
                 );
                 dst.to_global(c)
@@ -1947,6 +2013,39 @@ mod tests {
     }
 
     #[test]
+    fn fold_accum_never_raises_while_replace_can() {
+        // Every update targets a value it exceeds. Folding through `min`
+        // keeps the stored values; replace writes the merged update, which
+        // raises them (LACC's unconditional hook relies on that). Both the
+        // combining and the naive exchange fold at the owner.
+        let n = 40;
+        let init: Vec<usize> = (0..n).map(|g| g / 2).collect();
+        for opts in [DistOpts::default(), DistOpts::naive()] {
+            for p in GRIDS {
+                for (accum, raised) in [(Accum::Fold, false), (Accum::Replace, true)] {
+                    let out = run_spmd(p, |c| {
+                        let layout = VecLayout::new(n, Grid2d::square(p));
+                        let mut dst = DistVec::from_global(layout, c.rank(), &init);
+                        let upds: Vec<(usize, usize)> =
+                            (0..n).map(|g| (g, g + 1 + c.rank())).collect();
+                        let (changed, _) = dist_assign(c, &mut dst, &upds, MinUsize, accum, &opts);
+                        (changed, dst.to_global(c))
+                    })
+                    .unwrap();
+                    let changed: usize = out.iter().map(|o| o.0).sum();
+                    let want: Vec<usize> = if raised {
+                        (0..n).map(|g| g + 1).collect()
+                    } else {
+                        init.clone()
+                    };
+                    assert_eq!(out[0].1, want, "p={p} {accum:?}");
+                    assert_eq!(changed, if raised { n } else { 0 }, "p={p} {accum:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn assign_empty_updates_is_noop() {
         let n = 10;
         let init: Vec<usize> = (0..n).collect();
@@ -1954,7 +2053,14 @@ mod tests {
             let layout = VecLayout::new(n, Grid2d::square(4));
             let mut dst = DistVec::from_global(layout, c.rank(), &init);
             let none: &[(usize, usize)] = &[];
-            dist_assign(c, &mut dst, none, MinUsize, &DistOpts::default());
+            dist_assign(
+                c,
+                &mut dst,
+                none,
+                MinUsize,
+                Accum::Replace,
+                &DistOpts::default(),
+            );
             dst.to_global(c)
         })
         .unwrap();
@@ -1984,7 +2090,7 @@ mod tests {
                 let _ = dist_extract(c, &src, &reqs, &opts);
                 let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
                 let upds: Vec<(usize, usize)> = reqs.iter().map(|&g| (g, g + c.rank())).collect();
-                dist_assign(c, &mut dst, &upds, MinUsize, &opts);
+                dist_assign(c, &mut dst, &upds, MinUsize, Accum::Replace, &opts);
                 c.snapshot().combined_words
             })
             .unwrap()

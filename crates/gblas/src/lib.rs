@@ -28,7 +28,9 @@ pub mod dist;
 pub mod serial;
 pub mod types;
 
-pub use types::{AddF64, AddUsize, AndBool, Mask, MaxUsize, MinMaxUsize, MinUsize, Monoid, OrBool};
+pub use types::{
+    Accum, AddF64, AddUsize, AndBool, Mask, MaxUsize, MinMaxUsize, MinUsize, Monoid, OrBool,
+};
 
 /// Vertex/index type, shared with `lacc-graph`.
 pub type Vid = lacc_graph::Vid;

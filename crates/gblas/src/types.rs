@@ -114,6 +114,19 @@ impl Monoid<bool> for OrBool {
     }
 }
 
+/// How an assign writes a merged update into the value the destination
+/// already stores: GraphBLAS's `accum` argument of `GrB_assign`, chosen at
+/// the call site.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Accum {
+    /// No accumulator: `dst[g] = v`. An update can raise a stored value
+    /// (LACC's unconditional hooking relies on this to move a star root).
+    Replace,
+    /// `dst[g] = dst[g] ⊕ v` through the assign's monoid: under `min` an
+    /// update never raises a stored value (FastSV's stochastic hooking).
+    Fold,
+}
+
 /// A GraphBLAS output mask: results are written only where the mask
 /// permits.
 ///

@@ -18,7 +18,7 @@ use gblas::dist::{
     dist_assign, dist_extract, dist_extract_planned, plan_requests, DistOpts, DistVec,
     FusedExtract, VecLayout,
 };
-use gblas::{AndBool, MinUsize};
+use gblas::{Accum, AndBool, MinUsize};
 use proptest::prelude::*;
 
 /// Group sizes: 1 (degenerate), 3 and 9 (non-power-of-two fallback),
@@ -152,9 +152,9 @@ proptest! {
             let (base_vals, _) = dist_extract(c, &src, &requests, &naive);
             let (vals, _) = dist_extract(c, &src, &requests, &combining);
             let mut base_dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (base_chg, _) = dist_assign(c, &mut base_dst, &updates, MinUsize, &naive);
+            let (base_chg, _) = dist_assign(c, &mut base_dst, &updates, MinUsize, Accum::Replace, &naive);
             let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (chg, _) = dist_assign(c, &mut dst, &updates, MinUsize, &combining);
+            let (chg, _) = dist_assign(c, &mut dst, &updates, MinUsize, Accum::Replace, &combining);
 
             // Fused replay: one request route serves a usize phase, then —
             // after an interleaved assign, as in starcheck — a bool phase.
@@ -164,7 +164,7 @@ proptest! {
             let mut star = DistVec::from_fn(layout, c.rank(), |_| true);
             let demote: Vec<(usize, bool)> =
                 requests.iter().map(|&g| (g, g % 3 != 0)).collect();
-            dist_assign(c, &mut star, &demote, AndBool, &naive);
+            dist_assign(c, &mut star, &demote, AndBool, Accum::Replace, &naive);
             let fused_star = fx.extract(c, &star, &plan);
             let (base_star, _) = dist_extract_planned(c, &star, &plan, &naive);
 

@@ -8,7 +8,7 @@ use gblas::dist::{
     dist_mxv_start, DistMask, DistMat, DistOpts, DistSpVec, DistVec, VecLayout,
 };
 use gblas::serial::{self, Pattern, SparseVec};
-use gblas::{Mask, MinUsize};
+use gblas::{Accum, Mask, MinUsize};
 use lacc_graph::{CsrGraph, EdgeList};
 use proptest::prelude::*;
 
@@ -359,7 +359,7 @@ proptest! {
         let out = run_spmd(p, move |c| {
             let layout = VecLayout::new(n, Grid2d::square(p));
             let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            dist_assign(c, &mut dst, ur, MinUsize, &DistOpts::default());
+            dist_assign(c, &mut dst, ur, MinUsize, Accum::Replace, &DistOpts::default());
             dst.to_global(c)
         })
         .unwrap();

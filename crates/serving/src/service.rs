@@ -18,7 +18,8 @@ pub struct ServeOpts {
     pub ranks: usize,
     /// Cost model for rebuild runs and modeled query latencies.
     pub model: MachineModel,
-    /// LACC options for rebuild runs (default: the full optimized stack).
+    /// Options for rebuild runs (default: the full optimized stack and
+    /// the default engine, FastSV).
     pub lacc: lacc::LaccOpts,
     /// Staleness policy (deletions always rebuild).
     pub policy: RerunPolicy,
@@ -425,12 +426,12 @@ mod tests {
     #[test]
     fn lacc_opts_engine_routes_rebuilds() {
         // Every rebuild — bootstrap, deletion and staleness — runs the
-        // engine set in `ServeOpts::lacc`.
+        // engine set in `ServeOpts::lacc`, here the non-default LACC.
         let g = lacc_graph::generators::path_graph(16);
         let sink = TraceSink::new(dmsim::TraceLevel::Steps);
         let opts = ServeOpts {
             lacc: lacc::LaccOpts::builder()
-                .engine(lacc::EngineKind::Fastsv)
+                .engine(lacc::EngineKind::Lacc)
                 .build(),
             policy: RerunPolicy::always(),
             ..Default::default()
@@ -443,8 +444,8 @@ mod tests {
         assert_eq!(svc.stats().reruns, 3);
         assert!(svc.same_component(0, 15));
         let report = sink.report();
-        assert!(report.kind_time_s("engine(fastsv)") > 0.0);
-        assert_eq!(report.kind_time_s("engine(lacc)"), 0.0);
+        assert!(report.kind_time_s("engine(lacc)") > 0.0);
+        assert_eq!(report.kind_time_s("engine(fastsv)"), 0.0);
     }
 
     #[test]

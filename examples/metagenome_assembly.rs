@@ -16,7 +16,7 @@
 use lacc_suite::dmsim::EDISON;
 use lacc_suite::graph::generators::metagenome_graph;
 use lacc_suite::graph::stats::graph_stats;
-use lacc_suite::lacc::{run, RunConfig};
+use lacc_suite::lacc::{run, EngineKind, LaccOpts, RunConfig};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -27,7 +27,13 @@ fn main() {
         stats.vertices, stats.directed_edges, stats.avg_degree
     );
 
-    let run = run(&g, &RunConfig::new(16, EDISON.lacc_model())).unwrap();
+    // LACC, the paper's engine: its Lemma-1 tracking yields the
+    // converged-component profile printed below.
+    let opts = LaccOpts {
+        engine: EngineKind::Lacc,
+        ..LaccOpts::default()
+    };
+    let run = run(&g, &RunConfig::new(16, EDISON.lacc_model()).with_opts(opts)).unwrap();
     println!(
         "LACC (p=16): {} components in {} iterations, modeled {:.1} ms",
         run.num_components(),

@@ -4,8 +4,9 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Builds a small graph, runs serial LACC, then the distributed version on
-//! a simulated 4-rank machine, and cross-checks both against union-find.
+//! Builds a small graph, runs serial LACC, then a distributed run (the
+//! default engine, FastSV) on a simulated 4-rank machine, and cross-checks
+//! both against union-find.
 
 use lacc_suite::baselines::union_find_cc;
 use lacc_suite::graph::generators::community_graph;
@@ -30,12 +31,13 @@ fn main() {
         serial.wall_s * 1e3
     );
 
-    // 2. Distributed LACC on a simulated 2x2 process grid with the
-    //    Edison machine model.
+    // 2. A distributed run on a simulated 2x2 process grid with the
+    //    Edison machine model (default engine: FastSV).
     let model = lacc_suite::dmsim::EDISON.lacc_model();
     let dist = run(&g, &RunConfig::new(4, model)).unwrap();
     println!(
-        "distributed LACC (p=4): {} components, modeled {:.2} ms, wall {:.1} ms",
+        "distributed {} (p=4): {} components, modeled {:.2} ms, wall {:.1} ms",
+        dist.engine,
         dist.num_components(),
         dist.modeled_total_s * 1e3,
         dist.wall_s * 1e3

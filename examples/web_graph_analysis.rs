@@ -98,7 +98,12 @@ fn main() {
     );
 
     println!("\ndistributed on 16 simulated Edison nodes (modeled ms):");
-    let run = lacc::run(&g, &lacc::RunConfig::new(64, EDISON.lacc_model())).unwrap();
+    let opts = LaccOpts {
+        engine: lacc::EngineKind::Lacc,
+        ..LaccOpts::default()
+    };
+    let cfg = lacc::RunConfig::new(64, EDISON.lacc_model()).with_opts(opts);
+    let run = lacc::run(&g, &cfg).unwrap();
     check(
         "LACC (p=64, 4 ranks/node)",
         run.labels.clone(),

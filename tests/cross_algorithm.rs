@@ -5,7 +5,7 @@ use lacc_suite::baselines as b;
 use lacc_suite::graph::generators::*;
 use lacc_suite::graph::unionfind::canonicalize_labels;
 use lacc_suite::graph::CsrGraph;
-use lacc_suite::lacc::{self, LaccOpts};
+use lacc_suite::lacc::{self, EngineKind, LaccOpts};
 
 /// `lacc::run` in the positional shape the zoo sweep reads naturally in.
 fn run_with(
@@ -74,12 +74,18 @@ fn distributed_algorithms_agree() {
     for (name, g) in zoo() {
         let truth = b::union_find_cc(&g);
         let model = lacc_suite::dmsim::EDISON.lacc_model();
-        let run = run_with(&g, 4, model, &LaccOpts::default()).unwrap();
-        assert_eq!(
-            canonicalize_labels(&run.labels),
-            truth,
-            "dist LACC on {name}"
-        );
+        for engine in [EngineKind::Lacc, EngineKind::Fastsv] {
+            let opts = LaccOpts {
+                engine,
+                ..LaccOpts::default()
+            };
+            let run = run_with(&g, 4, model, &opts).unwrap();
+            assert_eq!(
+                canonicalize_labels(&run.labels),
+                truth,
+                "dist {engine} on {name}"
+            );
+        }
         if g.num_vertices() > 0 {
             let pc = b::parconnect_sim(&g, 4, lacc_suite::dmsim::EDISON.flat_model()).unwrap();
             assert_eq!(

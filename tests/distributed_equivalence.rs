@@ -10,7 +10,7 @@ use gblas::dist::DistOpts;
 use lacc_suite::dmsim::{CORI_KNL, EDISON};
 use lacc_suite::graph::generators::*;
 use lacc_suite::graph::CsrGraph;
-use lacc_suite::lacc::{lacc_serial, LaccOpts, RunConfig, RunOutput};
+use lacc_suite::lacc::{lacc_serial, EngineKind, LaccOpts, RunConfig, RunOutput};
 
 /// `lacc::run` in the positional shape the configuration matrix below
 /// reads naturally in.
@@ -28,6 +28,7 @@ fn bit_identical_across_comm_configs() {
     let g = community_graph(900, 45, 3.0, 1.4, 21);
     let base = LaccOpts {
         permute: false,
+        engine: EngineKind::Lacc,
         ..LaccOpts::default()
     };
     let serial = lacc_serial(&g, &base);
@@ -58,42 +59,56 @@ fn bit_identical_across_comm_configs() {
 #[test]
 fn machine_model_does_not_change_results() {
     let g = rmat(8, 5, RmatParams::web(), 6);
-    let opts = LaccOpts {
-        permute: false,
-        ..LaccOpts::default()
-    };
-    let a = run_with(&g, 9, EDISON.lacc_model(), &opts).unwrap();
-    let b = run_with(&g, 9, CORI_KNL.flat_model(), &opts).unwrap();
-    assert_eq!(a.labels, b.labels);
-    // Modeled time must differ (KNL flat is slower per the model).
-    assert!(b.modeled_total_s > a.modeled_total_s);
+    for engine in [EngineKind::Lacc, EngineKind::Fastsv] {
+        let opts = LaccOpts {
+            permute: false,
+            engine,
+            ..LaccOpts::default()
+        };
+        let a = run_with(&g, 9, EDISON.lacc_model(), &opts).unwrap();
+        let b = run_with(&g, 9, CORI_KNL.flat_model(), &opts).unwrap();
+        assert_eq!(a.labels, b.labels, "{engine}");
+        // Modeled time must differ (KNL flat is slower per the model).
+        assert!(b.modeled_total_s > a.modeled_total_s, "{engine}");
+    }
 }
 
 #[test]
 fn permutation_changes_work_not_answer() {
     let g = metagenome_graph(1500, 6, 0.01, 8);
-    let with = run_with(&g, 16, EDISON.lacc_model(), &LaccOpts::default()).unwrap();
-    let without = run_with(
-        &g,
-        16,
-        EDISON.lacc_model(),
-        &LaccOpts {
-            permute: false,
-            ..LaccOpts::default()
-        },
-    )
-    .unwrap();
     use lacc_suite::graph::unionfind::canonicalize_labels;
-    assert_eq!(
-        canonicalize_labels(&with.labels),
-        canonicalize_labels(&without.labels)
-    );
+    for engine in [EngineKind::Lacc, EngineKind::Fastsv] {
+        let opts = LaccOpts {
+            engine,
+            ..LaccOpts::default()
+        };
+        let with = run_with(&g, 16, EDISON.lacc_model(), &opts).unwrap();
+        let without = run_with(
+            &g,
+            16,
+            EDISON.lacc_model(),
+            &LaccOpts {
+                permute: false,
+                ..opts
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            canonicalize_labels(&with.labels),
+            canonicalize_labels(&without.labels),
+            "{engine}"
+        );
+    }
 }
 
 #[test]
 fn dense_as_and_lacc_agree_distributed() {
     let g = erdos_renyi_gnm(700, 900, 17);
-    let a = run_with(&g, 4, EDISON.lacc_model(), &LaccOpts::default()).unwrap();
+    let lacc = LaccOpts {
+        engine: EngineKind::Lacc,
+        ..LaccOpts::default()
+    };
+    let a = run_with(&g, 4, EDISON.lacc_model(), &lacc).unwrap();
     let d = run_with(&g, 4, EDISON.lacc_model(), &LaccOpts::dense_as()).unwrap();
     use lacc_suite::graph::unionfind::canonicalize_labels;
     assert_eq!(
@@ -116,7 +131,7 @@ fn dense_as_and_lacc_agree_distributed() {
         EDISON.lacc_model(),
         &LaccOpts {
             dist: no_combining,
-            ..LaccOpts::default()
+            ..lacc
         },
     )
     .unwrap();

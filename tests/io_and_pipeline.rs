@@ -6,7 +6,7 @@ use lacc_suite::graph::permute::Permutation;
 use lacc_suite::graph::stats::ground_truth_labels;
 use lacc_suite::graph::unionfind::canonicalize_labels;
 use lacc_suite::graph::CsrGraph;
-use lacc_suite::lacc::{LaccOpts, RunConfig, RunOutput};
+use lacc_suite::lacc::{EngineKind, LaccOpts, RunConfig, RunOutput};
 
 /// `lacc::run` in the positional shape these pipelines read naturally in.
 fn run_with(
@@ -27,14 +27,18 @@ fn matrix_market_to_lacc_pipeline() {
     let el = io::read_matrix_market(&buf[..]).expect("read");
     let g2 = CsrGraph::from_edges(el);
     assert_eq!(g, g2, "MM roundtrip must preserve the graph");
-    let run = run_with(
-        &g2,
-        4,
-        lacc_suite::dmsim::EDISON.lacc_model(),
-        &LaccOpts::default(),
-    )
-    .unwrap();
-    assert_eq!(canonicalize_labels(&run.labels), ground_truth_labels(&g));
+    for engine in [EngineKind::Lacc, EngineKind::Fastsv] {
+        let opts = LaccOpts {
+            engine,
+            ..LaccOpts::default()
+        };
+        let run = run_with(&g2, 4, lacc_suite::dmsim::EDISON.lacc_model(), &opts).unwrap();
+        assert_eq!(
+            canonicalize_labels(&run.labels),
+            ground_truth_labels(&g),
+            "{engine}"
+        );
+    }
 }
 
 #[test]
@@ -52,15 +56,19 @@ fn permuted_pipeline_recovers_original_ids() {
     let perm = Permutation::random(400, 77);
     let h = perm.permute_graph(&g);
     // Solve on the permuted graph and map labels back.
-    let run = run_with(
-        &h,
-        9,
-        lacc_suite::dmsim::EDISON.lacc_model(),
-        &LaccOpts::default(),
-    )
-    .unwrap();
-    let labels_orig = perm.unpermute_labels(&run.labels);
-    assert_eq!(canonicalize_labels(&labels_orig), ground_truth_labels(&g));
+    for engine in [EngineKind::Lacc, EngineKind::Fastsv] {
+        let opts = LaccOpts {
+            engine,
+            ..LaccOpts::default()
+        };
+        let run = run_with(&h, 9, lacc_suite::dmsim::EDISON.lacc_model(), &opts).unwrap();
+        let labels_orig = perm.unpermute_labels(&run.labels);
+        assert_eq!(
+            canonicalize_labels(&labels_orig),
+            ground_truth_labels(&g),
+            "{engine}"
+        );
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 use lacc_suite::baselines as b;
 use lacc_suite::graph::unionfind::canonicalize_labels;
 use lacc_suite::graph::{CsrGraph, EdgeList};
-use lacc_suite::lacc::{self, LaccOpts};
+use lacc_suite::lacc::{self, EngineKind, LaccOpts};
 use proptest::prelude::*;
 
 /// `lacc::run` in the positional shape the properties read naturally in.
@@ -73,7 +73,7 @@ proptest! {
 
     #[test]
     fn distributed_matches_serial_bitwise(g in arb_graph(80, 200)) {
-        let opts = LaccOpts { permute: false, ..LaccOpts::default() };
+        let opts = LaccOpts { permute: false, engine: EngineKind::Lacc, ..LaccOpts::default() };
         let serial = lacc::lacc_serial(&g, &opts);
         let dist = run_with(&g, 4, lacc_suite::dmsim::EDISON.lacc_model(), &opts).unwrap();
         prop_assert_eq!(&dist.labels, &serial.labels);
@@ -89,7 +89,7 @@ proptest! {
         // SpMV/SpMSpV dispatch threshold are pure performance knobs — the
         // parent vector must stay bit-identical to the serial run for any
         // setting of either.
-        let mut opts = LaccOpts { permute: false, ..LaccOpts::default() };
+        let mut opts = LaccOpts { permute: false, engine: EngineKind::Lacc, ..LaccOpts::default() };
         opts.dist.kernel_threads = threads;
         opts.dist.spmv_threshold = threshold;
         let serial = lacc::lacc_serial(&g, &opts);
@@ -109,19 +109,22 @@ proptest! {
         // labels and iteration count.
         use lacc_suite::gblas::dist::DistOpts;
         use lacc_suite::lacc::IndexWidth;
-        let base = LaccOpts {
-            permute: false,
-            cyclic_vectors: cyclic,
-            dist: if naive { DistOpts::naive() } else { DistOpts::default() },
-            ..LaccOpts::default()
-        };
-        let model = lacc_suite::dmsim::EDISON.lacc_model();
-        let narrow = run_with(
-            &g, 4, model, &LaccOpts { index_width: IndexWidth::U32, ..base }).unwrap();
-        let wide = run_with(
-            &g, 4, model, &LaccOpts { index_width: IndexWidth::U64, ..base }).unwrap();
-        prop_assert_eq!(&narrow.labels, &wide.labels);
-        prop_assert_eq!(narrow.num_iterations(), wide.num_iterations());
+        for engine in [EngineKind::Lacc, EngineKind::Fastsv] {
+            let base = LaccOpts {
+                permute: false,
+                cyclic_vectors: cyclic,
+                dist: if naive { DistOpts::naive() } else { DistOpts::default() },
+                engine,
+                ..LaccOpts::default()
+            };
+            let model = lacc_suite::dmsim::EDISON.lacc_model();
+            let narrow = run_with(
+                &g, 4, model, &LaccOpts { index_width: IndexWidth::U32, ..base }).unwrap();
+            let wide = run_with(
+                &g, 4, model, &LaccOpts { index_width: IndexWidth::U64, ..base }).unwrap();
+            prop_assert_eq!(&narrow.labels, &wide.labels, "{}", engine);
+            prop_assert_eq!(narrow.num_iterations(), wide.num_iterations(), "{}", engine);
+        }
     }
 
     #[test]
